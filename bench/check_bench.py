@@ -44,10 +44,10 @@ regression when
 
 with tolerance 1.75x for micros and 1.9x for wall-clock — both below 2x,
 so CI's injected-2x selftest (--inject 2.0, applied to everything except
-the anchor) must fail, proving the gate is live.  --ratchet also asserts
-the incremental re-convergence claim directly: the M1a pair
-"flap reconverge/full-replay" / "flap reconverge/incremental" must keep a
->= 5x ratio (a pure ratio — host- and inject-neutral).
+the anchor) must fail, proving the gate is live.  Claims that hold on any
+host (the export leg runs once per update-group; one flap re-converges far
+fewer events than the origination storm) are pinned by work-counter tests
+under tests/, not by timing ratios here.
 
   check_bench.py --dir build --ratchet             # gate against trajectory
   check_bench.py --dir build --ratchet --inject 2  # selftest: must fail
@@ -322,19 +322,6 @@ RATCHET_ANCHOR = "checksum/1500"
 RATCHET_MICRO_TOLERANCE = 1.75
 RATCHET_WALL_TOLERANCE = 1.9
 RATCHET_WALL_BENCHES = ("F1", "F2", "E4")
-# The incremental re-convergence claim as an absolute gate: one flap on a
-# 1k-stub fabric must re-converge at least this much faster than rebuilding
-# and re-converging the whole world.  A ratio of raw ns/op values, so it is
-# host-independent and --inject-neutral (both arms scale together).
-FLAP_PAIR_FULL = "flap reconverge/full-replay"
-FLAP_PAIR_INCREMENTAL = "flap reconverge/incremental"
-FLAP_PAIR_MIN_RATIO = 5.0
-# The export update-group claim, same shape: a flap at a 64-session hub
-# must fan out measurably faster computing each UPDATE once per group than
-# once per neighbor.
-EXPORT_PAIR_PER_NEIGHBOR = "export fanout/per-neighbor"
-EXPORT_PAIR_GROUPED = "export fanout/grouped"
-EXPORT_PAIR_MIN_RATIO = 1.5
 
 
 def m1_ns_per_op(directory):
@@ -454,41 +441,6 @@ def ratchet_check(directory, trajectory_dir, inject):
             problems.append(
                 f"m1: micro '{name}' has no trajectory entry (archive it "
                 "with --ratchet-update)")
-
-    # Incremental-vs-full-replay speedup gate (ISSUE 9's tentpole claim).
-    full = values.get(FLAP_PAIR_FULL)
-    incremental = values.get(FLAP_PAIR_INCREMENTAL)
-    if full is None or incremental is None:
-        missing = [n for n, v in ((FLAP_PAIR_FULL, full),
-                                  (FLAP_PAIR_INCREMENTAL, incremental))
-                   if v is None]
-        problems.append(
-            f"m1: flap-reconverge pair incomplete — missing "
-            f"{', '.join(repr(n) for n in missing)}")
-    elif incremental <= 0 or full / incremental < FLAP_PAIR_MIN_RATIO:
-        ratio = full / incremental if incremental > 0 else float("nan")
-        problems.append(
-            f"m1: incremental re-convergence speedup collapsed: "
-            f"full-replay/incremental = {ratio:.2f}x, required >= "
-            f"{FLAP_PAIR_MIN_RATIO}x ({full:.0f} vs {incremental:.0f} ns/op)")
-
-    # Export update-group speedup gate (ISSUE 10's tentpole claim).
-    per_neighbor = values.get(EXPORT_PAIR_PER_NEIGHBOR)
-    grouped = values.get(EXPORT_PAIR_GROUPED)
-    if per_neighbor is None or grouped is None:
-        missing = [n for n, v in ((EXPORT_PAIR_PER_NEIGHBOR, per_neighbor),
-                                  (EXPORT_PAIR_GROUPED, grouped))
-                   if v is None]
-        problems.append(
-            f"m1: export-fanout pair incomplete — missing "
-            f"{', '.join(repr(n) for n in missing)}")
-    elif grouped <= 0 or per_neighbor / grouped < EXPORT_PAIR_MIN_RATIO:
-        ratio = per_neighbor / grouped if grouped > 0 else float("nan")
-        problems.append(
-            f"m1: export update-group speedup collapsed: "
-            f"per-neighbor/grouped = {ratio:.2f}x, required >= "
-            f"{EXPORT_PAIR_MIN_RATIO}x ({per_neighbor:.0f} vs "
-            f"{grouped:.0f} ns/op)")
 
     walls = 0
     for bench_id in RATCHET_WALL_BENCHES:

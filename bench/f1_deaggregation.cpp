@@ -153,7 +153,7 @@ void series_te_deaggregation_cost(bench::BenchContext& ctx) {
           {routing::PolicyEvent::Kind::kBroadcastDeagg,
            routing::PolicyEvent::Kind::kSelectiveDeagg}));
   Runner runner(std::move(spec));
-  runner.execute(scenario::dfz::run_policy_event);
+  runner.execute(scenario::dfz::run_policy_incident);
   ctx.run(runner).table().print(std::cout);
 }
 

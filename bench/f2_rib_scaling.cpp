@@ -154,7 +154,7 @@ void series_hijack_containment(bench::BenchContext& ctx) {
                routing::PolicyEvent::Kind::kRouteLeak}))
           .axis(scenario::dfz::filtered_transits({0.0, 0.5, 1.0}));
   Runner runner(std::move(spec));
-  runner.execute(scenario::dfz::run_policy_event);
+  runner.execute(scenario::dfz::run_policy_incident);
   ctx.run(runner).table().print(std::cout);
 }
 

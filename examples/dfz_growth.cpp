@@ -46,7 +46,10 @@ int main(int argc, char** argv) {
                               routing::AddressingScenario::kLispRlocOnly}) {
     config.scenario = scenario;
     const auto result = routing::run_dfz_study(config);
-    const auto churn = routing::run_rehoming_churn(config);
+    const auto churn =
+        routing::run_churn_plan(config,
+                                {.events = {routing::ChurnEvent::rehome(0)}})
+            .events.front();
     table.add_row({to_string(scenario),
                    metrics::Table::integer(result.dfz_table_size),
                    metrics::Table::num(result.mean_rib_size, 1),

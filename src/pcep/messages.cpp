@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "net/bytes.hpp"
+
 namespace lispcp::pcep {
 
 std::string to_string(MessageType type) {
@@ -26,13 +28,13 @@ void Message::serialize(net::ByteWriter& w) const {
 std::shared_ptr<const Message> parse_message(net::ByteReader& r) {
   const std::uint8_t ver_flags = r.u8();
   if ((ver_flags >> 5) != kPcepVersion) {
-    throw std::invalid_argument("PCEP: unsupported version");
+    throw net::ParseError("PCEP: unsupported version");
   }
   const std::uint8_t raw_type = r.u8();
   const std::uint16_t length = r.u16();
   if (length < kCommonHeaderSize ||
       static_cast<std::size_t>(length - kCommonHeaderSize) > r.remaining()) {
-    throw std::invalid_argument("PCEP: length field exceeds message");
+    throw net::ParseError("PCEP: length field exceeds message");
   }
   const std::size_t body_len = length - kCommonHeaderSize;
   const std::size_t before = r.remaining();
@@ -71,11 +73,11 @@ std::shared_ptr<const Message> parse_message(net::ByteReader& r) {
       parsed = std::make_shared<Close>(static_cast<Close::Reason>(r.u8()));
       break;
     default:
-      throw std::invalid_argument("PCEP: unknown message type " +
-                                  std::to_string(raw_type));
+      throw net::ParseError("PCEP: unknown message type " +
+                            std::to_string(raw_type));
   }
   if (before - r.remaining() != body_len) {
-    throw std::invalid_argument("PCEP: body length disagrees with header");
+    throw net::ParseError("PCEP: body length disagrees with header");
   }
   return parsed;
 }

@@ -15,7 +15,7 @@
 // Wire format: the RFC 5440 common header (version 1, message type, 16-bit
 // total length) followed by a message-specific body.  Parsing validates
 // version, known type, and exact length; violations throw
-// std::invalid_argument, consistent with the other wire formats in this
+// net::ParseError, consistent with the other wire formats in this
 // library.  (Transport substitution: real PCEP runs over TCP port 4189; the
 // simulator carries it in UDP packets like every other control protocol
 // here.  Session semantics — handshake, keepalives, dead-timer — are
@@ -64,8 +64,8 @@ class Message : public net::Payload {
   virtual void serialize_body(net::ByteWriter& w) const = 0;
 };
 
-/// Parses one PCEP message; throws std::invalid_argument on bad version,
-/// unknown type, or a length field that disagrees with the body.
+/// Parses one PCEP message; throws net::ParseError on bad version, unknown
+/// type, a length field that disagrees with the body, or truncation.
 [[nodiscard]] std::shared_ptr<const Message> parse_message(net::ByteReader& r);
 
 /// Open: proposes session timers (RFC 5440 §6.2's OPEN object, flattened).

@@ -178,7 +178,7 @@ void BgpSpeaker::handle_update(AsNumber from, const UpdateMessage& message) {
     } else {
       attrs = advert.attrs;
     }
-    adj.routes[advert.prefix] = AdjRoute{std::move(attrs)};
+    adj.routes[advert.prefix] = std::move(attrs);
     decide(advert.prefix);
   }
 }
@@ -210,14 +210,14 @@ void BgpSpeaker::decide(const net::Ipv4Prefix& prefix) {
   const std::vector<AsGraph::Neighbor>& neighbors =
       fabric_.graph().neighbors(asn_);
   for (std::uint32_t pos = 0; pos < neighbors.size(); ++pos) {
-    const AdjRoute* route = adj_in_[pos].routes.find(prefix);
+    const AttrRef* route = adj_in_[pos].routes.find(prefix);
     if (route == nullptr) continue;
     // Local origin beats all; then highest local-pref (role defaults
     // reproduce the legacy relationship-preference order), path length,
     // lowest neighbor ASN.
     const std::uint32_t pref =
-        route->attrs.local_pref() != 0
-            ? route->attrs.local_pref()
+        route->local_pref() != 0
+            ? route->local_pref()
             : policy::role_local_pref(neighbors[pos].kind);
     bool take;
     if (win_attrs == nullptr) {
@@ -226,13 +226,13 @@ void BgpSpeaker::decide(const net::Ipv4Prefix& prefix) {
       take = false;
     } else if (pref != win_pref) {
       take = pref > win_pref;
-    } else if (route->attrs.as_path().size() != win_attrs->as_path().size()) {
-      take = route->attrs.as_path().size() < win_attrs->as_path().size();
+    } else if (route->as_path().size() != win_attrs->as_path().size()) {
+      take = route->as_path().size() < win_attrs->as_path().size();
     } else {
       take = neighbors[pos].asn < win_from;
     }
     if (take) {
-      win_attrs = &route->attrs;
+      win_attrs = route;
       win_from = neighbors[pos].asn;
       win_kind = neighbors[pos].kind;
       win_pref = pref;
@@ -281,11 +281,6 @@ void BgpSpeaker::announce_best(const net::Ipv4Prefix& prefix,
   path.reserve(winner.as_path().size() + 1);
   path.push_back(asn_);
   path.insert(path.end(), winner.as_path().begin(), winner.as_path().end());
-
-  if (!fabric_.config().share_exports) {
-    announce_best_per_neighbor(prefix, winner, path, only);
-    return;
-  }
 
   const std::vector<AsGraph::Neighbor>& neighbors =
       fabric_.graph().neighbors(asn_);
@@ -346,59 +341,6 @@ void BgpSpeaker::announce_best(const net::Ipv4Prefix& prefix,
       }
       enqueue(pos, neighbor, prefix, RouteAdvert{prefix, attrs});
     }
-  }
-}
-
-void BgpSpeaker::announce_best_per_neighbor(const net::Ipv4Prefix& prefix,
-                                            const BestRoute& winner,
-                                            const std::vector<AsNumber>& path,
-                                            std::optional<AsNumber> only) {
-  const std::vector<AsGraph::Neighbor>& neighbors =
-      fabric_.graph().neighbors(asn_);
-  for (std::uint32_t pos = 0; pos < neighbors.size(); ++pos) {
-    const AsNumber neighbor = neighbors[pos].asn;
-    if (only.has_value() && neighbor != *only) continue;
-    if (!winner.local_origin && neighbor == winner.learned_from) {
-      enqueue(pos, neighbor, prefix, std::nullopt);
-      continue;
-    }
-    const policy::SessionPolicy* session =
-        fabric_.session_policy(asn_, neighbor);
-    const bool role_ok = (session != nullptr && !session->valley_free) ||
-                         exportable(winner, neighbors[pos].kind);
-    if (!role_ok) {
-      enqueue(pos, neighbor, prefix, std::nullopt);
-      continue;
-    }
-    if (session != nullptr && session->export_map != nullptr) {
-      const auto actions = session->export_map->evaluate(
-          policy::RouteContext{prefix, path, winner.communities()});
-      if (!actions.has_value()) {
-        ++stats_.exports_filtered;
-        enqueue(pos, neighbor, prefix, std::nullopt);
-        continue;
-      }
-      if (actions->prepend > 0 || !actions->add_communities.empty()) {
-        std::vector<AsNumber>& out_path = modified_path_scratch();
-        out_path.assign(actions->prepend, asn_);
-        out_path.insert(out_path.end(), path.begin(), path.end());
-        std::vector<policy::Community>& comm = community_scratch();
-        comm.assign(winner.communities().begin(), winner.communities().end());
-        for (const policy::Community c : actions->add_communities) {
-          policy::add_community(comm, c);
-        }
-        enqueue(pos, neighbor, prefix,
-                RouteAdvert{prefix, fabric_.attrs().intern(out_path, comm, 0)});
-      } else {
-        enqueue(pos, neighbor, prefix,
-                RouteAdvert{prefix, fabric_.attrs().intern(
-                                        path, winner.communities(), 0)});
-      }
-      continue;
-    }
-    enqueue(pos, neighbor, prefix,
-            RouteAdvert{prefix,
-                        fabric_.attrs().intern(path, winner.communities(), 0)});
   }
 }
 

@@ -143,11 +143,6 @@ struct BgpConfig {
   /// pre-sizes each speaker's flat RIB tables so origination storms fill
   /// them without intermediate rehashes; never affects results.
   std::size_t expected_prefixes = 0;
-  /// Debug escape hatch: false runs the export leg once per neighbor (the
-  /// pre-update-group path) instead of once per group.  Results are
-  /// byte-identical either way — tests/test_update_groups.cpp diffs the
-  /// two — so leave it on outside parity tests.
-  bool share_exports = true;
 };
 
 struct BgpSpeakerStats {
@@ -212,6 +207,14 @@ class BgpSpeaker {
   /// std::out_of_range when no session exists.
   [[nodiscard]] std::uint32_t neighbor_position(AsNumber neighbor) const;
 
+  /// Adj-RIB-In from `neighbor` (diagnostics/tests): each prefix it offers,
+  /// with the attributes the import chain resolved.  Throws
+  /// std::out_of_range when no session exists.
+  [[nodiscard]] const core::FlatMap<net::Ipv4Prefix, AttrRef>& adj_rib_in(
+      AsNumber neighbor) const {
+    return adj_in_[neighbor_position(neighbor)].routes;
+  }
+
   /// Export update-groups currently in effect (diagnostics/tests): the
   /// number of distinct export legs one best-route change runs.
   [[nodiscard]] std::size_t export_group_count() const noexcept {
@@ -251,18 +254,11 @@ class BgpSpeaker {
 
   /// The export fan-out for an installed best route: split horizon, the
   /// valley-free role gate (per-session policy may relax it), then the
-  /// session's export map — run once per update-group (or per neighbor
-  /// with share_exports off), producing one shared interned advert that
-  /// enqueue() fans out by reference.  Shared by decide() (all sessions)
-  /// and refresh_exports() (optionally one).
+  /// session's export map — run once per update-group, producing one
+  /// shared interned advert that enqueue() fans out by reference.  Shared
+  /// by decide() (all sessions) and refresh_exports() (optionally one).
   void announce_best(const net::Ipv4Prefix& prefix, const BestRoute& winner,
                      std::optional<AsNumber> only = std::nullopt);
-
-  /// The per-neighbor legacy export path (share_exports == false).
-  void announce_best_per_neighbor(const net::Ipv4Prefix& prefix,
-                                  const BestRoute& winner,
-                                  const std::vector<AsNumber>& path,
-                                  std::optional<AsNumber> only);
 
   /// Gao-Rexford: may `route` be told to a neighbor of kind `to`?
   [[nodiscard]] static bool exportable(const BestRoute& route, NeighborKind to);
@@ -285,18 +281,14 @@ class BgpSpeaker {
   // dense vectors indexed by session position — the session set is fixed
   // at construction.
 
-  /// One Adj-RIB-In entry: the shared attributes the import chain resolved
-  /// (local_pref 0 inside the ref = no import override, use the role
-  /// default — the policy-off case never stores anything else).
-  struct AdjRoute {
-    AttrRef attrs;
-  };
-
-  /// Adj-RIB-In: per session position, the routes that neighbor advertised.
-  /// `sized` defers the expected_prefixes reservation to first touch, so
-  /// sessions that never carry a route cost nothing.
+  /// Adj-RIB-In: per session position, the routes that neighbor advertised,
+  /// each as the shared attributes the import chain resolved (local_pref 0
+  /// inside the ref = no import override, use the role default — the
+  /// policy-off case never stores anything else).  `sized` defers the
+  /// expected_prefixes reservation to first touch, so sessions that never
+  /// carry a route cost nothing.
   struct AdjIn {
-    core::FlatMap<net::Ipv4Prefix, AdjRoute> routes;
+    core::FlatMap<net::Ipv4Prefix, AttrRef> routes;
     bool sized = false;
   };
   std::vector<AdjIn> adj_in_;

@@ -241,24 +241,23 @@ struct FabricCounters {
   return {prefixes[event.prefix_index]};
 }
 
-/// The pre-build half of the policy-incident validation, kept in the
-/// legacy run_policy_event order and wording.
+/// The pre-build half of the policy-incident validation.
 void validate_incident_config(const DfzStudyConfig& config) {
   const PolicyEvent& event = config.policy.event;
   if (!config.policy.roles) {
     throw std::invalid_argument(
-        "run_policy_event: requires policy.roles (Gao-Rexford table)");
+        "run_churn_plan: requires policy.roles (Gao-Rexford table)");
   }
   if (config.scenario != AddressingScenario::kLegacyBgp) {
     throw std::invalid_argument(
-        "run_policy_event: events are BGP incidents; use kLegacyBgp");
+        "run_churn_plan: events are BGP incidents; use kLegacyBgp");
   }
   if (event.kind == PolicyEvent::Kind::kNone) {
-    throw std::invalid_argument("run_policy_event: event.kind is kNone");
+    throw std::invalid_argument("run_churn_plan: event.kind is kNone");
   }
   if (!is_power_of_two(event.deagg_factor) || event.deagg_factor > 4096) {
     throw std::invalid_argument(
-        "run_policy_event: event.deagg_factor must be a power of two <= 4096");
+        "run_churn_plan: event.deagg_factor must be a power of two <= 4096");
   }
 }
 
@@ -267,16 +266,16 @@ void validate_incident_targets(const DfzStudyConfig& config,
                                const BuiltStudy& study) {
   const PolicyEvent& event = config.policy.event;
   if (event.victim_stub >= study.stubs.size()) {
-    throw std::invalid_argument("run_policy_event: victim_stub out of range");
+    throw std::invalid_argument("run_churn_plan: victim_stub out of range");
   }
   if (resolve_actor(event, study.stubs.size()) >= study.stubs.size()) {
-    throw std::invalid_argument("run_policy_event: actor_stub out of range");
+    throw std::invalid_argument("run_churn_plan: actor_stub out of range");
   }
 }
 
-/// Applies the configured PolicyEvent to a converged study and measures its
-/// blast radius — the former run_policy_event body, now mutating the world
-/// only through RouteDelta batches.
+/// Applies the configured PolicyEvent to a converged study as one
+/// RouteDelta batch, re-converges, and measures its blast radius (the
+/// caller measures the churn counters around it).
 [[nodiscard]] PolicyEventResult execute_policy_incident(
     const DfzStudyConfig& config, BuiltStudy& study) {
   const PolicyEvent& event = config.policy.event;
@@ -285,14 +284,12 @@ void validate_incident_targets(const DfzStudyConfig& config,
   const AsNumber actor = stubs[resolve_actor(event, stubs.size())];
 
   PolicyEventResult result;
-  const FabricCounters before = snapshot_counters(study);
   std::uint64_t rib_before = 0;
   for (AsNumber asn : study.graph->ases()) {
     rib_before += study.fabric->speaker(asn).rib_size();
   }
   const auto tier1s = study.graph->ases_of_tier(AsTier::kTier1);
   result.dfz_table_before = study.fabric->speaker(tier1s.front()).rib_size();
-  const sim::SimTime t0 = study.fabric->now();
 
   // The probe prefixes the capture scan looks up afterwards, and the
   // predicate that says "this best route prefers the actor".
@@ -331,7 +328,7 @@ void validate_incident_targets(const DfzStudyConfig& config,
       // (including provider- and peer-learned routes) to one provider.
       const auto providers = providers_of_stub(*study.graph, actor);
       if (providers.empty()) {
-        throw std::invalid_argument("run_policy_event: leaker has no provider");
+        throw std::invalid_argument("run_churn_plan: leaker has no provider");
       }
       const AsNumber target = providers.back();
       study.table->session(actor, target).valley_free = false;
@@ -361,7 +358,7 @@ void validate_incident_targets(const DfzStudyConfig& config,
       // chosen (first) provider.
       const auto providers = providers_of_stub(*study.graph, victim);
       if (providers.empty()) {
-        throw std::invalid_argument("run_policy_event: victim has no provider");
+        throw std::invalid_argument("run_churn_plan: victim has no provider");
       }
       capture = Capture::kPathThrough;
       capture_asn = providers.front();
@@ -373,24 +370,12 @@ void validate_incident_targets(const DfzStudyConfig& config,
 
   study.fabric->apply(batch);
   study.fabric->run_to_convergence();
-
-  result.update_messages =
-      study.fabric->total_updates_sent() - before.updates;
-  result.route_records = study.fabric->total_routes_announced() +
-                         study.fabric->total_routes_withdrawn() -
-                         before.records;
-  result.settle_ms = (study.fabric->now() - t0).ms();
   result.dfz_table_after = study.fabric->speaker(tier1s.front()).rib_size();
 
   std::uint64_t rib_after = 0;
-  std::size_t index = 0;
   for (AsNumber asn : study.graph->ases()) {
     const BgpSpeaker& speaker = study.fabric->speaker(asn);
     rib_after += speaker.rib_size();
-    if (speaker.stats().best_changes > before.best_changes[index]) {
-      ++result.ases_touched;
-    }
-    ++index;
     // Exact-prefix capture scan (the probes are the event's own
     // announcements, so LPM is unnecessary): does this AS's best route for
     // any probe prefer the actor?
@@ -420,40 +405,23 @@ void validate_incident_targets(const DfzStudyConfig& config,
     result.rib_cost_per_announcement =
         static_cast<double>(result.rib_delta) /
         static_cast<double>(result.event_announcements);
-    result.churn_per_announcement =
-        static_cast<double>(result.route_records) /
-        static_cast<double>(result.event_announcements);
   }
   return result;
 }
 
-/// Executes one churn event against a converged study.  Flap-shaped events
-/// are two RouteDelta batches around an idle-clock hold; the measured
-/// settle excludes the hold, so a zero-hold flap costs exactly what the
-/// legacy back-to-back withdraw/announce sequence did.
-[[nodiscard]] ChurnEventMeasure execute_churn_event(
-    const DfzStudyConfig& config, BuiltStudy& study, const ChurnEvent& event,
-    std::optional<PolicyEventResult>& incident) {
-  ChurnEventMeasure measure;
-  measure.kind = event.kind;
-  if (event.kind == ChurnEvent::Kind::kPolicyIncident) {
-    PolicyEventResult incident_result = execute_policy_incident(config, study);
-    measure.update_messages = incident_result.update_messages;
-    measure.route_records = incident_result.route_records;
-    measure.settle_ms = incident_result.settle_ms;
-    measure.ases_touched = incident_result.ases_touched;
-    measure.engine_events = study.fabric->last_run_events();
-    incident = std::move(incident_result);
-    return measure;
-  }
-
+/// Executes the flap-shaped events: two RouteDelta batches around an
+/// idle-clock hold, returning the hold the caller excludes from the
+/// settle time (so a zero-hold flap costs exactly a back-to-back
+/// withdraw/announce sequence).
+sim::SimDuration execute_prefix_event(const DfzStudyConfig& config,
+                                      BuiltStudy& study,
+                                      const ChurnEvent& event,
+                                      ChurnEventMeasure& measure) {
   if (event.stub >= study.stubs.size()) {
     throw std::invalid_argument("run_churn_plan: event stub out of range");
   }
   const AsNumber subject = study.stubs[event.stub];
   const auto prefixes = churn_subject_prefixes(config, event);
-  const FabricCounters before = snapshot_counters(study);
-  const sim::SimTime t0 = study.fabric->now();
   sim::SimDuration held{};
 
   std::vector<RouteDelta> batch;
@@ -483,6 +451,24 @@ void validate_incident_targets(const DfzStudyConfig& config,
     study.fabric->run_to_convergence();
     measure.engine_events += study.fabric->last_run_events();
   }
+  return held;
+}
+
+/// Executes one churn event against a converged study and measures its
+/// network-wide deltas.
+[[nodiscard]] ChurnEventMeasure execute_churn_event(
+    const DfzStudyConfig& config, BuiltStudy& study, const ChurnEvent& event) {
+  ChurnEventMeasure measure;
+  measure.kind = event.kind;
+  const FabricCounters before = snapshot_counters(study);
+  const sim::SimTime t0 = study.fabric->now();
+  sim::SimDuration held{};
+  if (event.kind == ChurnEvent::Kind::kPolicyIncident) {
+    measure.incident = execute_policy_incident(config, study);
+    measure.engine_events = study.fabric->last_run_events();
+  } else {
+    held = execute_prefix_event(config, study, event, measure);
+  }
 
   measure.update_messages =
       study.fabric->total_updates_sent() - before.updates;
@@ -491,6 +477,12 @@ void validate_incident_targets(const DfzStudyConfig& config,
                           before.records;
   measure.settle_ms = ((study.fabric->now() - t0) - held).ms();
   measure.ases_touched = count_ases_touched(study, before);
+  if (measure.incident.has_value() &&
+      measure.incident->event_announcements > 0) {
+    measure.incident->churn_per_announcement =
+        static_cast<double>(measure.route_records) /
+        static_cast<double>(measure.incident->event_announcements);
+  }
   return measure;
 }
 
@@ -577,25 +569,6 @@ DfzStudyResult run_dfz_study(const DfzStudyConfig& config) {
   return result;
 }
 
-RehomingChurnResult run_rehoming_churn(const DfzStudyConfig& config) {
-  // The §2 ingress swing — the first stub takes its prefixes down
-  // (converge) and brings them back (converge), the BGP cost the paper's
-  // CP replaces with a mapping push — expressed as one declarative event
-  // on the unified churn surface.  Outputs are byte-identical to the
-  // former hand-rolled withdraw/announce sequence.
-  ChurnPlan plan;
-  plan.events.push_back(ChurnEvent::rehome(0));
-  const ChurnPlanResult churn = run_churn_plan(config, plan);
-
-  RehomingChurnResult result;
-  const ChurnEventMeasure& swing = churn.events.front();
-  result.update_messages = swing.update_messages;
-  result.route_records = swing.route_records;
-  result.settle_ms = swing.settle_ms;
-  result.ases_touched = swing.ases_touched;
-  return result;
-}
-
 ChurnPlanResult run_churn_plan(const DfzStudyConfig& config,
                                const ChurnPlan& plan) {
   bool has_incident = false;
@@ -651,7 +624,7 @@ ChurnPlanResult run_churn_plan(const DfzStudyConfig& config,
       study->fabric->advance(event.spacing);
     }
     const ChurnEventMeasure measure =
-        execute_churn_event(config, *study, event, result.incident);
+        execute_churn_event(config, *study, event);
 
     result.update_messages += measure.update_messages;
     result.route_records += measure.route_records;
@@ -694,13 +667,6 @@ ChurnPlan make_flap_plan(std::size_t flaps, std::size_t stub_count,
         ChurnEvent::flap(stub, hold, sim::SimDuration::nanos(spacing_ns)));
   }
   return plan;
-}
-
-PolicyEventResult run_policy_event(const DfzStudyConfig& config) {
-  ChurnPlan plan;
-  plan.events.push_back(ChurnEvent::policy_incident());
-  ChurnPlanResult churn = run_churn_plan(config, plan);
-  return *std::move(churn.incident);
 }
 
 }  // namespace lispcp::routing

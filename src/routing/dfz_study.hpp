@@ -15,9 +15,9 @@
 // Outputs per run: DFZ table size (tier-1 Loc-RIB), mean/max RIB over all
 // ASes, total update messages and route records to converge, convergence
 // time, and — for the LISP scenario — how many entries moved into the
-// mapping system.  A second harness measures re-homing churn: the update
-// storm when one multihomed stub swings between providers (the event the
-// paper's IRC/TE engine triggers on), legacy vs LISP.
+// mapping system.  Post-convergence churn — site flaps, the re-homing swing
+// the paper's IRC/TE engine triggers on, policy incidents — runs through
+// one executor, run_churn_plan, legacy vs LISP.
 #pragma once
 
 #include <cstdint>
@@ -75,10 +75,10 @@ struct PolicyEvent {
 
 /// Policy section of the DFZ study.  `roles` attaches the Gao-Rexford
 /// table (policy::PolicyTable::gao_rexford) to every speaker — required by
-/// run_policy_event.  `filtered_transit_fraction` puts IRR-style strict
-/// customer-origin import prefix-lists on the stub sessions of the first
-/// ceil(fraction * transit_count) transits: the containment knob the F2e
-/// hijack series sweeps.
+/// a kPolicyIncident churn event.  `filtered_transit_fraction` puts
+/// IRR-style strict customer-origin import prefix-lists on the stub
+/// sessions of the first ceil(fraction * transit_count) transits: the
+/// containment knob the F2e hijack series sweeps.
 struct PolicyStudyConfig {
   bool roles = false;
   double filtered_transit_fraction = 0.0;
@@ -125,30 +125,12 @@ struct DfzStudyResult {
 /// Runs origination-to-convergence for the configured scenario.
 [[nodiscard]] DfzStudyResult run_dfz_study(const DfzStudyConfig& config);
 
-struct RehomingChurnResult {
-  /// Update messages and route records triggered network-wide by one stub
-  /// moving its traffic between providers.
-  std::uint64_t update_messages = 0;
-  std::uint64_t route_records = 0;
-  double settle_ms = 0.0;
-  /// ASes whose Loc-RIB changed at least once during the event.
-  std::size_t ases_touched = 0;
-};
-
-/// After convergence, re-homes one multihomed stub (legacy: withdraw +
-/// re-announce its prefixes; LISP: a mapping-system update that touches no
-/// BGP speaker) and measures the churn.  The contrast is the paper's TE
-/// argument: with LISP+PCE, moving ingress traffic is a mapping push, not a
-/// BGP event.
-[[nodiscard]] RehomingChurnResult run_rehoming_churn(const DfzStudyConfig& config);
-
+/// The blast radius of one policy incident, beyond the churn counters every
+/// event measures (ChurnEventMeasure): carried on the kPolicyIncident
+/// event's measure.
 struct PolicyEventResult {
   std::size_t dfz_table_before = 0;   ///< tier-1 Loc-RIB pre-event
   std::size_t dfz_table_after = 0;
-  std::uint64_t update_messages = 0;  ///< event-triggered MRAI flushes
-  std::uint64_t route_records = 0;    ///< announce+withdraw records
-  double settle_ms = 0.0;
-  std::size_t ases_touched = 0;       ///< Loc-RIB changed during the event
   /// Route records the event itself injected (hijack/TE originations, or
   /// the leaked session's refresh size) — the denominator of the
   /// per-announcement costs.
@@ -157,6 +139,7 @@ struct PolicyEventResult {
   /// realistic cost model for de-aggregation TE.
   std::size_t rib_delta = 0;
   double rib_cost_per_announcement = 0.0;
+  /// The event's route records per injected announcement.
   double churn_per_announcement = 0.0;
   /// ASes whose post-event best route for a probe prefix prefers the
   /// actor (hijack: actor-originated; leak: path through the leaker;
@@ -165,20 +148,11 @@ struct PolicyEventResult {
   double actor_preference_fraction = 0.0;
 };
 
-/// Converges the study with Gao-Rexford roles attached, applies the
-/// configured PolicyEvent, reconverges, and measures the event's blast
-/// radius.  Requires config.policy.roles, a kLegacyBgp scenario, and an
-/// event kind != kNone (throws std::invalid_argument otherwise).
-/// Deterministic for any shard/worker count, like every study here.
-/// Thin wrapper over run_churn_plan with a single kPolicyIncident event.
-[[nodiscard]] PolicyEventResult run_policy_event(const DfzStudyConfig& config);
-
 // ---------------------------------------------------------------------------
-// Unified churn surface: one declarative event vocabulary for everything
-// that perturbs a converged DFZ.  The former hand-rolled flap loops and
-// run_policy_event's direct speaker pokes all execute through
-// run_churn_plan, which mutates the world exclusively via BgpFabric::apply
-// (RouteDelta batches — the fabric's sole mutation entry point).
+// Churn surface: one declarative event vocabulary for everything that
+// perturbs a converged DFZ, executed by run_churn_plan, which mutates the
+// world exclusively via BgpFabric::apply (RouteDelta batches — the fabric's
+// sole mutation entry point).  A single measurement is a one-event plan.
 // ---------------------------------------------------------------------------
 
 /// One post-convergence churn event.
@@ -186,17 +160,20 @@ struct PolicyEventResult {
 ///   kFlap           — the subject prefixes go down (converge), stay down
 ///                     for `hold`, come back (converge): the paper's §1
 ///                     churn unit, whose amortised cost the soak measures.
-///   kRehome         — the §2 ingress-TE swing run_rehoming_churn always
-///                     modelled: mechanically a whole-site flap with no
-///                     hold (the stub withdraws and immediately re-enters
-///                     via its new preference), kept as its own kind so
-///                     plans and records name the intent.
+///   kRehome         — the §2 ingress-TE swing: mechanically a whole-site
+///                     flap with no hold (the stub withdraws and
+///                     immediately re-enters via its new preference), kept
+///                     as its own kind so plans and records name the
+///                     intent.
 ///   kPrefixDown     — the subject prefixes are withdrawn and stay down.
 ///   kPrefixUp       — the subject prefixes are (re-)announced.
 ///   kPolicyIncident — fires the study's configured PolicyEvent
 ///                     (config.policy.event — the incident is wired into
 ///                     the policy table at build time, so its payload
-///                     lives in the config, not here).
+///                     lives in the config, not here).  Requires
+///                     config.policy.roles, a kLegacyBgp scenario, and an
+///                     event kind != kNone (std::invalid_argument
+///                     otherwise).
 struct ChurnEvent {
   enum class Kind : std::uint8_t {
     kFlap,
@@ -264,6 +241,8 @@ struct ChurnEventMeasure {
   std::size_t ases_touched = 0;
   /// Engine events the re-convergence fired: the incremental-cost metric.
   std::uint64_t engine_events = 0;
+  /// kPolicyIncident only: the incident's blast radius.
+  std::optional<PolicyEventResult> incident;
 };
 
 struct ChurnPlanResult {
@@ -279,8 +258,6 @@ struct ChurnPlanResult {
   double max_settle_ms = 0.0;
   /// Simulated span of the whole plan: spacings + settles + holds.
   double span_ms = 0.0;
-  /// Full blast-radius measurement of the last kPolicyIncident, if any.
-  std::optional<PolicyEventResult> incident;
 };
 
 /// Executes the plan (see ChurnPlan) and measures every event.  Under

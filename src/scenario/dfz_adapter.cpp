@@ -56,11 +56,16 @@ void run_study(const RunPoint& point, Record& record) {
 }
 
 void run_churn(const RunPoint& point, Record& record) {
-  const auto churn = routing::run_rehoming_churn(point.config.dfz);
-  record.set_int("updates", churn.update_messages);
-  record.set_int("route records", churn.route_records);
-  record.set_int("ASes touched", churn.ases_touched);
-  record.set_real("settle ms", churn.settle_ms, 1);
+  // The §2 ingress swing of the first stub: its prefixes go down (converge)
+  // and come back (converge) — the BGP cost the paper's CP replaces with a
+  // mapping push.
+  const auto churn = routing::run_churn_plan(
+      point.config.dfz, {.events = {routing::ChurnEvent::rehome(0)}});
+  const routing::ChurnEventMeasure& swing = churn.events.front();
+  record.set_int("updates", swing.update_messages);
+  record.set_int("route records", swing.route_records);
+  record.set_int("ASes touched", swing.ases_touched);
+  record.set_real("settle ms", swing.settle_ms, 1);
 }
 
 std::function<void(ExperimentConfig&)> full_replay() {
@@ -130,14 +135,17 @@ Axis event_deagg(std::vector<std::uint64_t> values, std::string name) {
                         });
 }
 
-void run_policy_event(const RunPoint& point, Record& record) {
-  const auto result = routing::run_policy_event(point.config.dfz);
+void run_policy_incident(const RunPoint& point, Record& record) {
+  const auto churn = routing::run_churn_plan(
+      point.config.dfz, {.events = {routing::ChurnEvent::policy_incident()}});
+  const routing::ChurnEventMeasure& event = churn.events.front();
+  const routing::PolicyEventResult& result = *event.incident;
   record.set_int("DFZ before", result.dfz_table_before);
   record.set_int("DFZ after", result.dfz_table_after);
-  record.set_int("updates", result.update_messages);
-  record.set_int("route records", result.route_records);
-  record.set_real("settle ms", result.settle_ms, 1);
-  record.set_int("ASes touched", result.ases_touched);
+  record.set_int("updates", event.update_messages);
+  record.set_int("route records", event.route_records);
+  record.set_real("settle ms", event.settle_ms, 1);
+  record.set_int("ASes touched", event.ases_touched);
   record.set_int("announcements", result.event_announcements);
   record.set_int("RIB delta", result.rib_delta);
   record.set_real("RIB/ann", result.rib_cost_per_announcement, 2);

@@ -9,9 +9,10 @@
 //   * axes over the DFZ section of ExperimentConfig (addressing scenario,
 //     stub-site count — a topology-size axis — and the de-aggregation
 //     factor), and
-//   * executors for Runner::execute that run the convergence study or the
-//     re-homing churn event for a point and write its typed Record fields
-//     (DFZ table size, mean/max RIB, update messages, convergence time).
+//   * executors for Runner::execute that run the convergence study or a
+//     churn plan (one re-homing swing, a flap soak, a policy incident) for
+//     a point and write its typed Record fields (DFZ table size, mean/max
+//     RIB, update messages, convergence time).
 //
 // Bench f2 composes these; tests/test_sweep_axes.cpp round-trips the
 // records through the JSON sink.
@@ -54,8 +55,9 @@ namespace lispcp::scenario::dfz {
 /// "converge ms", "mapping entries".
 void run_study(const RunPoint& point, Record& record);
 
-/// Runner executor: the post-convergence re-homing churn event.  Fields:
-/// "updates", "route records", "ASes touched", "settle ms".
+/// Runner executor: one post-convergence re-homing swing of the first stub
+/// (a one-event routing::run_churn_plan).  Fields: "updates",
+/// "route records", "ASes touched", "settle ms".
 void run_churn(const RunPoint& point, Record& record);
 
 // ---------------------------------------------------------------------------
@@ -85,7 +87,7 @@ void run_soak(const RunPoint& point, Record& record);
 // ---------------------------------------------------------------------------
 
 /// Base-config mutation: attach the Gao-Rexford role table to every BGP
-/// session (config.dfz.policy.roles).  Required by run_policy_event; also
+/// session (config.dfz.policy.roles).  Required by run_policy_incident; also
 /// usable on the plain study to pin roles-on/policy-off record parity.
 [[nodiscard]] std::function<void(ExperimentConfig&)> roles_enabled();
 
@@ -106,10 +108,10 @@ void run_soak(const RunPoint& point, Record& record);
                                std::string name = "event deagg");
 
 /// Runner executor: converge, apply the point's PolicyEvent, reconverge
-/// (routing::run_policy_event).  Fields: "DFZ before", "DFZ after",
-/// "updates", "route records", "settle ms", "ASes touched",
+/// (a one-event routing::run_churn_plan).  Fields: "DFZ before",
+/// "DFZ after", "updates", "route records", "settle ms", "ASes touched",
 /// "announcements", "RIB delta", "RIB/ann", "churn/ann", "captured ASes",
 /// "captured".
-void run_policy_event(const RunPoint& point, Record& record);
+void run_policy_incident(const RunPoint& point, Record& record);
 
 }  // namespace lispcp::scenario::dfz

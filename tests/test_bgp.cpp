@@ -5,9 +5,9 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <string>
 
+#include "bgp_world.hpp"
 #include "routing/as_graph.hpp"
 #include "routing/bgp.hpp"
 #include "routing/dfz_study.hpp"
@@ -445,16 +445,22 @@ TEST(DfzStudy, DeaggregationMultipliesLegacyTableNotLisp) {
   EXPECT_EQ(lisp4.mapping_system_entries, 80u);
 }
 
+/// One re-homing swing of the first stub, as a one-event churn plan.
+ChurnEventMeasure rehoming_churn(const DfzStudyConfig& config) {
+  return run_churn_plan(config, {.events = {ChurnEvent::rehome(0)}})
+      .events.front();
+}
+
 TEST(DfzStudy, RehomingChurnIsZeroUnderLisp) {
   const auto churn =
-      run_rehoming_churn(small_study(AddressingScenario::kLispRlocOnly, 1));
+      rehoming_churn(small_study(AddressingScenario::kLispRlocOnly, 1));
   EXPECT_EQ(churn.update_messages, 0u);
   EXPECT_EQ(churn.ases_touched, 0u);
 }
 
 TEST(DfzStudy, RehomingChurnIsGlobalUnderLegacyBgp) {
   const auto churn =
-      run_rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 1));
+      rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 1));
   EXPECT_GT(churn.update_messages, 0u);
   EXPECT_GT(churn.route_records, 0u);
   EXPECT_GT(churn.ases_touched, 5u)
@@ -464,9 +470,9 @@ TEST(DfzStudy, RehomingChurnIsGlobalUnderLegacyBgp) {
 
 TEST(DfzStudy, ChurnScalesWithDeaggregation) {
   const auto one =
-      run_rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 1));
+      rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 1));
   const auto four =
-      run_rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 4));
+      rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 4));
   EXPECT_GT(four.route_records, one.route_records)
       << "each more-specific multiplies the records in the flap";
 }
@@ -475,53 +481,11 @@ TEST(DfzStudy, ChurnScalesWithDeaggregation) {
 // Sharded convergence engine: results are byte-identical for every shard
 // count and worker count, and repeated runs reproduce themselves.
 
-/// Serialises everything observable about a converged fabric: every
-/// speaker's stats and Loc-RIB (prefix, provenance, full AS path) plus the
-/// convergence instant.  Two equal fingerprints mean equal results down to
-/// the last counter.
-std::string fingerprint(const BgpFabric& fabric) {
-  std::ostringstream os;
-  os << "t=" << fabric.now().ns() << "\n";
-  for (AsNumber asn : fabric.graph().ases()) {
-    const BgpSpeaker& speaker = fabric.speaker(asn);
-    const BgpSpeakerStats& stats = speaker.stats();
-    os << asn.to_string() << " " << stats.updates_sent << "/"
-       << stats.updates_received << "/" << stats.routes_announced << "/"
-       << stats.routes_withdrawn << "/" << stats.loops_rejected << "/"
-       << stats.best_changes << "\n";
-    for (const net::Ipv4Prefix& prefix : speaker.rib_prefixes()) {
-      const auto* best = speaker.best(prefix);
-      os << "  " << prefix.to_string() << " <- "
-         << best->learned_from.to_string() << " k"
-         << static_cast<int>(best->neighbor_kind) << " p";
-      for (AsNumber hop : best->as_path()) os << " " << hop.value();
-      os << "\n";
-    }
-  }
-  return os.str();
-}
-
-/// Builds the property-sweep world (every AS originates one prefix) on a
-/// fabric with the given engine parameters and converges it.
+/// The property-sweep world (every AS originates one prefix), converged
+/// with the given engine parameters.
 std::string converge_and_fingerprint(const AsGraph& graph, std::size_t shards,
                                      std::size_t workers) {
-  BgpConfig config;
-  config.shards = shards;
-  config.shard_workers = workers;
-  BgpFabric fabric(graph, config);
-  const auto stubs = graph.ases_of_tier(AsTier::kStub);
-  for (AsNumber asn : graph.ases()) {
-    if (graph.tier(asn) == AsTier::kStub) {
-      const auto it = std::find(stubs.begin(), stubs.end(), asn);
-      fabric.apply({RouteDelta::announce(
-          asn, stub_site_prefixes(
-                   static_cast<std::size_t>(it - stubs.begin()), 1)[0])});
-    } else {
-      fabric.apply({RouteDelta::announce(asn, provider_aggregate(asn))});
-    }
-  }
-  fabric.run_to_convergence();
-  return fingerprint(fabric);
+  return fingerprint(*converge(graph, shards, nullptr, workers));
 }
 
 TEST(ShardedBgp, ResultsAreShardCountInvariant) {
@@ -578,10 +542,11 @@ TEST(ShardedBgp, ShardingRequiresPositiveSessionDelay) {
   EXPECT_THROW(BgpFabric(graph, config), std::invalid_argument);
 }
 
-bool operator_eq(const RehomingChurnResult& a, const RehomingChurnResult& b) {
+bool operator_eq(const ChurnEventMeasure& a, const ChurnEventMeasure& b) {
   return a.update_messages == b.update_messages &&
          a.route_records == b.route_records && a.settle_ms == b.settle_ms &&
-         a.ases_touched == b.ases_touched;
+         a.ases_touched == b.ases_touched &&
+         a.engine_events == b.engine_events;
 }
 
 bool operator_eq(const DfzStudyResult& a, const DfzStudyResult& b) {
@@ -597,14 +562,14 @@ bool operator_eq(const DfzStudyResult& a, const DfzStudyResult& b) {
 
 TEST(ShardedBgp, RehomingChurnIsDeterministicAcrossShardsAndRuns) {
   DfzStudyConfig config = small_study(AddressingScenario::kLegacyBgp, 4);
-  const auto reference = run_rehoming_churn(config);
+  const auto reference = rehoming_churn(config);
   // Same seed, repeated run: identical result.
-  EXPECT_TRUE(operator_eq(run_rehoming_churn(config), reference));
+  EXPECT_TRUE(operator_eq(rehoming_churn(config), reference));
   // Same seed, any shard count (and a multi-worker run): identical result.
   for (const std::size_t shards : {2u, 8u}) {
     config.bgp.shards = shards;
     config.bgp.shard_workers = shards == 8 ? 4 : 0;
-    EXPECT_TRUE(operator_eq(run_rehoming_churn(config), reference))
+    EXPECT_TRUE(operator_eq(rehoming_churn(config), reference))
         << "churn diverged at " << shards << " shards";
   }
 }

@@ -3,12 +3,14 @@
 // long-lived fabric must be byte-identical to the same plan measured
 // against a freshly rebuilt world per event (full replay), for every shard
 // count — plus RouteDelta batch-grouping invariance, idle-clock
-// time-translation invariance, and wrapper equivalence for the legacy
-// run_rehoming_churn / run_policy_event entry points.
+// time-translation invariance, and policy incidents inside plans.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "bgp_world.hpp"
 #include "routing/bgp.hpp"
 #include "routing/dfz_study.hpp"
 #include "sim/rng.hpp"
@@ -141,24 +143,22 @@ TEST(ChurnPlan, PrefixDownThenUpEqualsOneFlap) {
 }
 
 TEST(ChurnPlan, SingleFlapTouchesFarFewerEngineEventsThanTheStorm) {
-  // The incremental claim in miniature: re-converging one flapped site
-  // fires a small fraction of the events the origination storm did.
-  DfzStudyConfig config = small_config();
-  auto graph_events = [&](const ChurnPlan& plan) {
-    return run_churn_plan(config, plan);
-  };
-  ChurnPlan plan;
-  plan.events.push_back(ChurnEvent::flap(0));
-  const auto result = graph_events(plan);
-  ASSERT_EQ(result.events.size(), 1u);
-  EXPECT_GT(result.events[0].engine_events, 0u);
-  // The storm converges 3 tiers x all prefixes; the flap replays only one
-  // site's cascade.  A loose 1/3 bound keeps the test robust while still
-  // failing if apply() ever degenerates into a full re-convergence.
-  DfzStudyConfig probe = small_config();
-  const auto study = run_dfz_study(probe);
-  EXPECT_LT(result.events[0].engine_events, study.update_messages * 3)
-      << "flap re-convergence should not rescale with the full storm";
+  // The incremental claim in work units, host-independent: re-converging
+  // one flapped site (down and up) fires fewer engine events than the
+  // origination storm and sends under a fifth of its route records — a
+  // degenerate full re-convergence would cost about twice the storm in
+  // both.  (The storm batches every prefix into each session's flush, so
+  // events shrink far less than records do.)
+  const DfzStudyConfig config = small_config();
+  const ChurnEventMeasure flap =
+      run_churn_plan(config, {.events = {ChurnEvent::flap(0)}}).events.front();
+  const AsGraph graph = build_synthetic_internet(config.internet);
+  const std::uint64_t storm_events = converge(graph, 1)->last_run_events();
+  const std::uint64_t storm_records = run_dfz_study(config).route_records;
+  EXPECT_GT(flap.engine_events, 0u);
+  EXPECT_LT(flap.engine_events, storm_events);
+  EXPECT_LT(flap.route_records * 5, storm_records)
+      << "one flap must send under a fifth of the storm's route records";
 }
 
 TEST(ChurnPlan, LispScenarioMeasuresZeroButCountsFlaps) {
@@ -213,51 +213,72 @@ TEST(MakeFlapPlan, DeterministicPerSeed) {
                std::invalid_argument);
 }
 
-TEST(ChurnWrappers, RehomingChurnEqualsSingleRehomePlan) {
-  const DfzStudyConfig config = small_config(4);
-  const RehomingChurnResult legacy = run_rehoming_churn(config);
-  ChurnPlan plan;
-  plan.events.push_back(ChurnEvent::rehome(0));
-  const ChurnPlanResult churn = run_churn_plan(config, plan);
-  ASSERT_EQ(churn.events.size(), 1u);
-  EXPECT_EQ(legacy.update_messages, churn.events[0].update_messages);
-  EXPECT_EQ(legacy.route_records, churn.events[0].route_records);
-  EXPECT_EQ(legacy.settle_ms, churn.events[0].settle_ms);
-  EXPECT_EQ(legacy.ases_touched, churn.events[0].ases_touched);
+/// The message of the std::invalid_argument run_churn_plan throws.
+std::string plan_error(const DfzStudyConfig& config, const ChurnPlan& plan) {
+  try {
+    (void)run_churn_plan(config, plan);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
 }
 
-TEST(ChurnWrappers, PolicyIncidentValidationStillThrows) {
+TEST(PolicyIncident, ValidationThrowsUnderTheExecutorsName) {
   DfzStudyConfig config = small_config();
-  ChurnPlan plan;
-  plan.events.push_back(ChurnEvent::policy_incident());
+  const ChurnPlan plan{.events = {ChurnEvent::policy_incident()}};
   // roles off -> invalid_argument, before anything is built.
-  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
+  EXPECT_EQ(plan_error(config, plan),
+            "run_churn_plan: requires policy.roles (Gao-Rexford table)");
   config.policy.roles = true;
   config.scenario = AddressingScenario::kLispRlocOnly;
-  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
+  EXPECT_EQ(plan_error(config, plan),
+            "run_churn_plan: events are BGP incidents; use kLegacyBgp");
   config.scenario = AddressingScenario::kLegacyBgp;
-  // kind still kNone.
-  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
+  EXPECT_EQ(plan_error(config, plan), "run_churn_plan: event.kind is kNone");
+  config.policy.event.kind = PolicyEvent::Kind::kHijackMoreSpecific;
+  config.policy.event.victim_stub = 500;
+  EXPECT_EQ(plan_error(config, plan),
+            "run_churn_plan: victim_stub out of range");
 }
 
-TEST(ChurnWrappers, PolicyIncidentInsidePlanMatchesRunPolicyEvent) {
+TEST(PolicyIncident, BlastRadiusRidesOnItsEventMeasure) {
+  // Only the incident's measure carries a blast radius; flaps around it
+  // carry none, and the incident's churn counters match its per-
+  // announcement ratio.
   DfzStudyConfig config = small_config();
   config.policy.roles = true;
   config.policy.event.kind = PolicyEvent::Kind::kHijackMoreSpecific;
   config.policy.event.victim_stub = 0;
   config.policy.event.deagg_factor = 2;
-  const PolicyEventResult direct = run_policy_event(config);
-
-  ChurnPlan plan;
-  plan.events.push_back(ChurnEvent::policy_incident());
+  const ChurnPlan plan{.events = {ChurnEvent::flap(3),
+                                  ChurnEvent::policy_incident(),
+                                  ChurnEvent::flap(3)}};
   const ChurnPlanResult churn = run_churn_plan(config, plan);
-  ASSERT_TRUE(churn.incident.has_value());
-  EXPECT_EQ(direct.update_messages, churn.incident->update_messages);
-  EXPECT_EQ(direct.route_records, churn.incident->route_records);
-  EXPECT_EQ(direct.ases_touched, churn.incident->ases_touched);
-  EXPECT_EQ(direct.ases_preferring_actor, churn.incident->ases_preferring_actor);
-  EXPECT_EQ(direct.rib_delta, churn.incident->rib_delta);
-  EXPECT_EQ(direct.settle_ms, churn.incident->settle_ms);
+  ASSERT_EQ(churn.events.size(), 3u);
+  EXPECT_FALSE(churn.events[0].incident.has_value());
+  EXPECT_FALSE(churn.events[2].incident.has_value());
+  const ChurnEventMeasure& hijack = churn.events[1];
+  EXPECT_EQ(hijack.kind, ChurnEvent::Kind::kPolicyIncident);
+  ASSERT_TRUE(hijack.incident.has_value());
+  EXPECT_GT(hijack.update_messages, 0u);
+  EXPECT_GT(hijack.engine_events, 0u);
+  EXPECT_GT(hijack.ases_touched, 0u);
+  EXPECT_EQ(hijack.incident->event_announcements, 2u);
+  EXPECT_EQ(hijack.incident->churn_per_announcement,
+            static_cast<double>(hijack.route_records) / 2.0);
+  EXPECT_GT(hijack.incident->ases_preferring_actor, 0u);
+  EXPECT_GT(hijack.incident->rib_delta, 0u);
+  EXPECT_EQ(churn.flaps, 2u);
+
+  // The incident alone measures the same as inside the plan: the flap
+  // before it restored the world exactly.
+  const ChurnEventMeasure alone =
+      run_churn_plan(config, {.events = {ChurnEvent::policy_incident()}})
+          .events.front();
+  EXPECT_TRUE(measures_eq(alone, hijack));
+  EXPECT_EQ(alone.incident->ases_preferring_actor,
+            hijack.incident->ases_preferring_actor);
+  EXPECT_EQ(alone.incident->rib_delta, hijack.incident->rib_delta);
 }
 
 TEST(RouteDeltaApi, BatchGroupingIsObservationallyIdentical) {

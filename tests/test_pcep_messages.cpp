@@ -1,8 +1,13 @@
 // Tests for pcep/messages: wire round-trips for every message type, common
-// header validation, and length-consistency enforcement.
+// header validation, length-consistency enforcement, and the codec
+// family's error contract (malformed bytes give a message or
+// net::ParseError, nothing else).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "pcep/messages.hpp"
+#include "sim/rng.hpp"
 
 namespace lispcp::pcep {
 namespace {
@@ -103,7 +108,7 @@ TEST(PcepMessages, RejectsWrongVersion) {
   auto bytes = w.take();
   bytes[0] = std::byte{static_cast<std::uint8_t>(2 << 5)};  // version 2
   net::ByteReader r(bytes);
-  EXPECT_THROW(parse_message(r), std::invalid_argument);
+  EXPECT_THROW(parse_message(r), net::ParseError);
 }
 
 TEST(PcepMessages, RejectsUnknownType) {
@@ -112,7 +117,7 @@ TEST(PcepMessages, RejectsUnknownType) {
   w.u8(200);  // no such message type
   w.u16(4);
   net::ByteReader r(w.view());
-  EXPECT_THROW(parse_message(r), std::invalid_argument);
+  EXPECT_THROW(parse_message(r), net::ParseError);
 }
 
 TEST(PcepMessages, RejectsLengthBeyondBuffer) {
@@ -121,7 +126,7 @@ TEST(PcepMessages, RejectsLengthBeyondBuffer) {
   w.u8(static_cast<std::uint8_t>(MessageType::kKeepalive));
   w.u16(64);  // claims 60 body bytes that do not exist
   net::ByteReader r(w.view());
-  EXPECT_THROW(parse_message(r), std::invalid_argument);
+  EXPECT_THROW(parse_message(r), net::ParseError);
 }
 
 TEST(PcepMessages, RejectsLengthShorterThanHeader) {
@@ -130,7 +135,7 @@ TEST(PcepMessages, RejectsLengthShorterThanHeader) {
   w.u8(static_cast<std::uint8_t>(MessageType::kKeepalive));
   w.u16(2);
   net::ByteReader r(w.view());
-  EXPECT_THROW(parse_message(r), std::invalid_argument);
+  EXPECT_THROW(parse_message(r), net::ParseError);
 }
 
 TEST(PcepMessages, RejectsBodyLengthMismatch) {
@@ -144,7 +149,47 @@ TEST(PcepMessages, RejectsBodyLengthMismatch) {
   w.u8(1);
   w.u8(0);  // stray byte inside the claimed length
   net::ByteReader r(w.view());
-  EXPECT_THROW(parse_message(r), std::invalid_argument);
+  EXPECT_THROW(parse_message(r), net::ParseError);
+}
+
+TEST(PcepMessages, MutatedInputParsesOrThrowsParseError) {
+  // Seeded byte flips, truncations and appends over one message of every
+  // type: parse_message must return or throw net::ParseError — any other
+  // exception escaping the codec fails the test.
+  const auto wire = [](const Message& m) {
+    net::ByteWriter w;
+    m.serialize(w);
+    return w.take();
+  };
+  const std::vector<std::vector<std::byte>> seeds = {
+      wire(Open(30, 120, 7)),
+      wire(Keepalive()),
+      wire(MapComputationRequest(7, net::Ipv4Address(100, 64, 1, 10))),
+      wire(MapComputationReply(7, sample_mapping())),
+      wire(MapComputationReply(8)),
+      wire(Error(Error::Kind::kSessionFailure)),
+      wire(Close(Close::Reason::kNoExplanation))};
+  sim::Rng rng(2008);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+  };
+  std::size_t rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<std::byte> bytes = seeds[pick(seeds.size())];
+    const auto noise = static_cast<std::byte>(pick(256));
+    switch (pick(3)) {
+      case 0: bytes[pick(bytes.size())] = noise; break;
+      case 1: bytes.resize(pick(bytes.size())); break;
+      default: bytes.push_back(noise); break;
+    }
+    net::ByteReader r(bytes);
+    try {
+      (void)parse_message(r);
+    } catch (const net::ParseError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(PcepMessages, TypeNamesAreStable) {

@@ -310,62 +310,72 @@ DfzStudyConfig event_config(PolicyEvent::Kind kind, double filtered = 0.0) {
   return config;
 }
 
+/// The configured incident as a one-event churn plan: its measure, whose
+/// `incident` carries the blast radius.
+ChurnEventMeasure run_incident(const DfzStudyConfig& config) {
+  return run_churn_plan(config, {.events = {ChurnEvent::policy_incident()}})
+      .events.front();
+}
+
 TEST(PolicyEvent, RequiresRolesLegacyAndAKind) {
   auto config = event_config(PolicyEvent::Kind::kHijackMoreSpecific);
   config.policy.roles = false;
-  EXPECT_THROW((void)run_policy_event(config), std::invalid_argument);
+  EXPECT_THROW((void)run_incident(config), std::invalid_argument);
   config = event_config(PolicyEvent::Kind::kHijackMoreSpecific);
   config.scenario = AddressingScenario::kLispRlocOnly;
-  EXPECT_THROW((void)run_policy_event(config), std::invalid_argument);
+  EXPECT_THROW((void)run_incident(config), std::invalid_argument);
   config = event_config(PolicyEvent::Kind::kNone);
-  EXPECT_THROW((void)run_policy_event(config), std::invalid_argument);
+  EXPECT_THROW((void)run_incident(config), std::invalid_argument);
 }
 
 TEST(PolicyEvent, MoreSpecificHijackPropagatesStrictlyFurther) {
   const auto more =
-      run_policy_event(event_config(PolicyEvent::Kind::kHijackMoreSpecific));
+      run_incident(event_config(PolicyEvent::Kind::kHijackMoreSpecific));
   const auto same =
-      run_policy_event(event_config(PolicyEvent::Kind::kHijackSameSpecific));
+      run_incident(event_config(PolicyEvent::Kind::kHijackSameSpecific));
   // The paper-facing contrast: longest-prefix match hands the more-specific
   // hijacker every AS its announcement reaches, while the same-specific
   // forgery stays distance-limited by the decision process.
-  EXPECT_GT(more.ases_preferring_actor, same.ases_preferring_actor);
-  EXPECT_GT(more.rib_delta, 0u);
-  EXPECT_GT(more.event_announcements, 0u);
+  EXPECT_GT(more.incident->ases_preferring_actor,
+            same.incident->ases_preferring_actor);
+  EXPECT_GT(more.incident->rib_delta, 0u);
+  EXPECT_GT(more.incident->event_announcements, 0u);
 }
 
 TEST(PolicyEvent, OriginFiltersContainTheHijack) {
   const auto open =
-      run_policy_event(event_config(PolicyEvent::Kind::kHijackMoreSpecific, 0.0));
+      run_incident(event_config(PolicyEvent::Kind::kHijackMoreSpecific, 0.0));
   const auto filtered =
-      run_policy_event(event_config(PolicyEvent::Kind::kHijackMoreSpecific, 1.0));
-  EXPECT_LT(filtered.ases_preferring_actor, open.ases_preferring_actor);
+      run_incident(event_config(PolicyEvent::Kind::kHijackMoreSpecific, 1.0));
+  EXPECT_LT(filtered.incident->ases_preferring_actor,
+            open.incident->ases_preferring_actor);
   // Every transit applies strict customer-origin filters: the forged
   // more-specifics die at the actor's own provider sessions.
-  EXPECT_EQ(filtered.ases_preferring_actor, 1u);  // only the actor itself
+  // Only the actor itself.
+  EXPECT_EQ(filtered.incident->ases_preferring_actor, 1u);
 }
 
 TEST(PolicyEvent, RouteLeakDetoursTraffic) {
-  const auto leak = run_policy_event(event_config(PolicyEvent::Kind::kRouteLeak));
-  EXPECT_GT(leak.event_announcements, 0u);
-  EXPECT_GT(leak.ases_preferring_actor, 0u);
+  const auto leak = run_incident(event_config(PolicyEvent::Kind::kRouteLeak));
+  EXPECT_GT(leak.incident->event_announcements, 0u);
+  EXPECT_GT(leak.incident->ases_preferring_actor, 0u);
   EXPECT_GT(leak.ases_touched, 0u);
 }
 
 TEST(PolicyEvent, SelectiveDeaggSteersWithLessChurnThanBroadcast) {
   const auto selective =
-      run_policy_event(event_config(PolicyEvent::Kind::kSelectiveDeagg));
+      run_incident(event_config(PolicyEvent::Kind::kSelectiveDeagg));
   const auto broadcast =
-      run_policy_event(event_config(PolicyEvent::Kind::kBroadcastDeagg));
+      run_incident(event_config(PolicyEvent::Kind::kBroadcastDeagg));
   // Steering: under selective announcement (export maps withhold the
   // more-specifics from all but the chosen provider) nearly every AS routes
   // the pieces through that provider; broadcast splits the ingress.
-  EXPECT_GT(selective.actor_preference_fraction,
-            broadcast.actor_preference_fraction);
+  EXPECT_GT(selective.incident->actor_preference_fraction,
+            broadcast.incident->actor_preference_fraction);
   // And it costs less: fewer export legs carry the pieces.
   EXPECT_LE(selective.route_records, broadcast.route_records);
-  EXPECT_GT(selective.event_announcements, 0u);
-  EXPECT_GT(broadcast.rib_delta, 0u);
+  EXPECT_GT(selective.incident->event_announcements, 0u);
+  EXPECT_GT(broadcast.incident->rib_delta, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -427,7 +437,7 @@ scenario::ResultSet run_events_mini(std::size_t shards) {
            PolicyEvent::Kind::kSelectiveDeagg}))
       .axis(scenario::dfz::filtered_transits({0.0, 1.0}));
   scenario::Runner runner(std::move(spec));
-  runner.execute(scenario::dfz::run_policy_event);
+  runner.execute(scenario::dfz::run_policy_incident);
   return runner.run();
 }
 
