@@ -171,6 +171,27 @@ std::vector<Micro> registry() {
     }});
   }
 
+  // The core router's FIB shape: a /32 host route per RLOC plus a default
+  // route, probed at the routed addresses (every lookup a /32 hit).
+  micros.push_back({"prefix-trie lookup/host-32", [] {
+    constexpr std::uint32_t kHosts = 1024;
+    auto trie = std::make_shared<net::PrefixTrie<int>>();
+    auto hosts = std::make_shared<std::vector<net::Ipv4Address>>();
+    sim::Rng rng(2);
+    trie->insert(net::Ipv4Prefix(), -1);
+    for (std::uint32_t i = 0; i < kHosts; ++i) {
+      hosts->emplace_back(static_cast<std::uint32_t>(rng.engine()()));
+      trie->insert(net::Ipv4Prefix::host(hosts->back()), static_cast<int>(i));
+    }
+    return std::function<void(std::uint64_t)>([trie, hosts](std::uint64_t iters) {
+      std::uint32_t probe = 0;
+      for (std::uint64_t i = 0; i < iters; ++i) {
+        keep(trie->lookup((*hosts)[probe % kHosts]));
+        probe += 2654435761u;
+      }
+    });
+  }});
+
   micros.push_back({"dns serialize", [] {
     auto m = dns::DnsMessage::answer(
         1, {dns::DomainName::from_string("h0.d5.example"), dns::RrType::kA},
@@ -471,9 +492,9 @@ std::vector<Micro> registry() {
                                           rng.uniform_int(1, 1'000'000))),
             [] {});
         if (queue.size() > 1000) {
-          sim::EventQueue::Fired fired;
-          queue.pop(fired);
-          t = fired.time.ns();
+          sim::SimTime now;
+          queue.fire_next(sim::SimTime::max(), now);
+          t = now.ns();
         }
       }
     });

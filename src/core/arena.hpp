@@ -8,7 +8,10 @@
 //     counters.  Indices are recycled; a (index, generation) pair names one
 //     *lifetime* of a slot, so stale handles to a recycled slot are
 //     detectable (EventHandle safety — see sim/event_queue.hpp).  Slabs
-//     never move, so T's address is stable for the slot's lifetime.
+//     never move, so T's address is stable for the slot's lifetime, even
+//     while later allocate() calls grow the pool.  release() may be split
+//     into retire() (end the lifetime) and recycle() (free the slot), so a
+//     record can be used in place between the two.
 //
 //   * Recycler<T>: a bounded stack of retired objects whose *buffers* are
 //     worth keeping (vectors that would otherwise re-grow from zero).
@@ -44,9 +47,21 @@ class Pool {
   }
 
   /// Returns a slot to the free list and invalidates its generation, so
-  /// handles created for the old lifetime no longer match.
+  /// handles created for the old lifetime no longer match.  Equivalent to
+  /// retire() followed by recycle().
   void release(std::uint32_t index) {
-    ++slot(index).generation;
+    retire(index);
+    recycle(index);
+  }
+
+  /// Ends the slot's current lifetime (handles to it no longer match) while
+  /// the slot stays allocated, so its T can still be used in place — the
+  /// event queue runs a firing action from its own slot this way.
+  void retire(std::uint32_t index) noexcept { ++slot(index).generation; }
+
+  /// Returns a retired slot to the free list (never reallocates: the list
+  /// has room for every slot).
+  void recycle(std::uint32_t index) noexcept {
     free_.push_back(index);
     --live_;
   }
@@ -84,7 +99,8 @@ class Pool {
   void grow() {
     const auto base = static_cast<std::uint32_t>(capacity());
     slabs_.push_back(std::make_unique<Slot[]>(kSlabSize));
-    free_.reserve(free_.size() + kSlabSize);
+    // Room for every slot at once, so recycle() never reallocates.
+    free_.reserve(capacity());
     // Low indices come off the free list first (nicer cache locality for
     // shallow queues).
     for (std::uint32_t i = kSlabSize; i > 0; --i) {

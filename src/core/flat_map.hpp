@@ -184,7 +184,7 @@ class FlatMap {
     std::vector<V> old_values = std::move(values_);
     std::vector<std::uint8_t> old_state = std::move(state_);
     keys_.assign(capacity, K{});
-    values_.assign(capacity, V{});
+    values_ = std::vector<V>(capacity);  // value-initialised: V may be move-only
     state_.assign(capacity, kEmpty);
     size_ = 0;
     used_ = 0;

@@ -27,10 +27,16 @@ void MapCache::insert(const MapEntry& entry, sim::SimTime now) {
   const auto expiry = now + sim::SimDuration::seconds(entry.ttl_seconds);
   if (const std::uint32_t* existing = by_prefix_.find(entry.eid_prefix)) {
     Slot& slot = slots_[*existing];
-    unindex_rlocs(slot.entry);
+    // A refresh (a re-gleaned or re-pushed mapping) usually keeps the same
+    // locators; the reverse index then already holds this prefix for each.
+    const bool same_rlocs = std::equal(
+        slot.entry.rlocs.begin(), slot.entry.rlocs.end(), entry.rlocs.begin(),
+        entry.rlocs.end(),
+        [](const Rloc& a, const Rloc& b) { return a.address == b.address; });
+    if (!same_rlocs) unindex_rlocs(slot.entry);
     slot.entry = entry;
     slot.expiry = expiry;
-    index_rlocs(entry);
+    if (!same_rlocs) index_rlocs(entry);
     touch(*existing);
     ++stats_.updates;
     return;

@@ -315,8 +315,8 @@ void TunnelRouter::deliver(net::Packet packet) {
 }
 
 void TunnelRouter::handle_lisp_data(net::Packet packet) {
-  // Keep a copy of the outer header for gleaning before stripping it.
-  const net::Packet outer_view = packet;
+  // The outer source RLOC is all gleaning needs of the stripped headers.
+  const net::Ipv4Address source_rloc = packet.outer_ip().src;
   packet.pop_outer();  // outer IPv4
   packet.pop_outer();  // UDP
   packet.pop_outer();  // LISP shim
@@ -330,7 +330,7 @@ void TunnelRouter::handle_lisp_data(net::Packet packet) {
     return;
   }
 
-  glean(outer_view, packet);
+  glean(source_rloc, packet);
 
   sim().schedule(config_.processing_delay,
                  [this, p = std::move(packet)]() mutable { send(std::move(p)); });
@@ -349,9 +349,8 @@ void TunnelRouter::handle_overlay_data(net::Packet packet) {
                  [this, p = std::move(packet)]() mutable { send(std::move(p)); });
 }
 
-void TunnelRouter::glean(const net::Packet& outer, const net::Packet& inner) {
+void TunnelRouter::glean(net::Ipv4Address source_rloc, const net::Packet& inner) {
   const auto source_eid = inner.inner_ip().src;
-  const auto source_rloc = outer.outer_ip().src;
   if (!is_eid(source_eid) || is_local_eid(source_eid)) return;
 
   const auto key = net::pair_key(inner.inner_ip().dst, source_eid);

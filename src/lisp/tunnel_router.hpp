@@ -273,7 +273,7 @@ class TunnelRouter final : public sim::Node {
   void handle_lisp_data(net::Packet packet);
   void handle_overlay_data(net::Packet packet);
   void handle_map_request(const net::Packet& packet, const MapRequest& request);
-  void glean(const net::Packet& decapsulated_outer, const net::Packet& inner);
+  void glean(net::Ipv4Address source_rloc, const net::Packet& inner);
 
   // Shared
   void handle_flow_push(const FlowMappingPush& push);

@@ -4,7 +4,8 @@
 
 namespace lispcp::sim {
 
-EventHandle EventQueue::schedule(SimTime at, EventAction action, bool daemon) {
+EventHandle EventQueue::schedule(SimTime at, EventAction&& action,
+                                 bool daemon) {
   const std::uint32_t index = pool_->records.allocate();
   auto& record = pool_->records[index];
   record.action = std::move(action);
@@ -25,20 +26,30 @@ void EventQueue::prune() {
   }
 }
 
-bool EventQueue::pop(Fired& out) {
+bool EventQueue::fire_next(SimTime until, SimTime& now) {
   prune();
-  if (heap_.empty()) return false;
+  if (heap_.empty() || heap_.top().time > until) return false;
   const Entry entry = heap_.top();
   heap_.pop();
-  auto& record = pool_->records[entry.index];
-  out.time = entry.time;
-  out.action = std::move(record.action);
-  out.daemon = record.daemon;
-  record.action.reset();
+  auto& records = pool_->records;
+  auto& record = records[entry.index];
   if (!record.daemon) --pool_->foreground_live;
-  // Releasing bumps the generation, so handles to the fired event report
-  // !pending() and cancel() returns false — same semantics as before.
-  pool_->records.release(entry.index);
+  // Retiring bumps the generation: from here on the event's handles report
+  // !pending() and cancel() returns false, exactly as for a fired event.
+  records.retire(entry.index);
+  now = entry.time;
+  // Recycle the slot once the action returns or throws, destroying its
+  // captures first.  The record's address is stable meanwhile: events the
+  // action schedules take other slots, and growth adds slabs, never moves.
+  struct Recycle {
+    core::Pool<detail::EventRecordPool::Record>& records;
+    std::uint32_t index;
+    ~Recycle() {
+      records[index].action.reset();  // release captured state now
+      records.recycle(index);
+    }
+  } recycle{records, entry.index};
+  record.action();
   return true;
 }
 

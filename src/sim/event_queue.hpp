@@ -4,17 +4,22 @@
 // sequence number breaks ties FIFO, which makes simulations fully
 // deterministic: two events scheduled for the same instant always fire in
 // scheduling order.  Cancellation is O(1) via a tombstone flag; cancelled
-// entries are discarded lazily when popped.
+// entries are discarded lazily when they reach the front.
 //
 // Storage: event records live in a slab pool (core/arena.hpp) owned by the
 // queue, not in one shared_ptr allocation per event — scheduling in steady
 // state allocates nothing (the action's capture is inline in the pooled
-// record, see core/inline_function.hpp).  Handles stay safe across every
+// record, see core/inline_function.hpp).  The heap itself holds only small
+// (time, seq, slot) entries.  An action is moved once, into its record, and
+// fire_next() invokes it there: the record's lifetime is retired first (so
+// the firing event's own handle already reads !pending() and cancel()
+// returns false), and the slot is recycled only after the action returns
+// or throws.  Slabs never move, so the action may schedule any number of
+// further events while it runs.  Handles stay safe across every
 // destruction order the nodes exercise: an EventHandle names a record by
-// (pool, index, generation); firing or cancelling releases the slot and
-// bumps its generation, so a stale handle to a recycled slot can never
-// cancel the wrong event, and a handle that outlives the queue simply
-// finds the pool gone.
+// (pool, index, generation), so a stale handle to a recycled slot can never
+// cancel the wrong event, and a handle that outlives the queue simply finds
+// the pool gone.
 #pragma once
 
 #include <cstdint>
@@ -109,18 +114,16 @@ class EventQueue {
   /// push timers) fires in time order like any other, but does not keep the
   /// simulation alive: Simulator::run() drains the queue only while
   /// foreground work remains.
-  EventHandle schedule(SimTime at, EventAction action, bool daemon = false);
+  EventHandle schedule(SimTime at, EventAction&& action, bool daemon = false);
 
-  /// Removes and returns the next live event, skipping tombstones.
-  /// Returns false when the queue is empty (of live events).
-  struct Fired {
-    SimTime time;
-    EventAction action;
-    bool daemon = false;
-  };
-  bool pop(Fired& out);
+  /// Fires the earliest live event if its time is <= `until`: sets `now` to
+  /// its time, then invokes its action in place.  Returns false, firing
+  /// nothing, when no live event is due by `until`.  If the action throws,
+  /// its slot is still recycled and the exception propagates; the queue
+  /// stays consistent and the next call fires the next event.
+  bool fire_next(SimTime until, SimTime& now);
 
-  /// Time of the next live event without popping it; meaningful only when
+  /// Time of the next live event without firing it; meaningful only when
   /// !empty().
   [[nodiscard]] SimTime next_time();
 

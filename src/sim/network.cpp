@@ -65,12 +65,13 @@ Link* Network::link_between(NodeId a, NodeId b) const {
 }
 
 void Network::add_route(NodeId at, const net::Ipv4Prefix& prefix, NodeId next_hop) {
-  if (link_between(at, next_hop) == nullptr) {
+  Link* link = link_between(at, next_hop);
+  if (link == nullptr) {
     throw std::logic_error("Network::add_route: next hop '" +
                            node(next_hop).name() + "' not adjacent to '" +
                            node(at).name() + "'");
   }
-  tables_[at.value()].insert(prefix, next_hop);
+  tables_[at.value()].insert(prefix, link);
 }
 
 std::vector<Network::SptEntry> Network::shortest_paths_from(NodeId source) const {
@@ -78,7 +79,7 @@ std::vector<Network::SptEntry> Network::shortest_paths_from(NodeId source) const
   using QueueItem = std::pair<std::int64_t, std::uint32_t>;  // (dist ns, node)
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> frontier;
 
-  entries[source.value()] = {SimDuration{}, source, true};
+  entries[source.value()] = {SimDuration{}, nullptr, true};
   frontier.emplace(0, source.value());
 
   while (!frontier.empty()) {
@@ -95,9 +96,9 @@ std::vector<Network::SptEntry> Network::shortest_paths_from(NodeId source) const
       if (!ev.reachable || alt < ev.distance) {
         ev.distance = alt;
         ev.reachable = true;
-        // v's next hop toward the source is u (paths are reversible:
-        // links are symmetric in delay).
-        ev.next_toward_source = NodeId(u);
+        // v's next hop toward the source is u, over `link` (paths are
+        // reversible: links are symmetric in delay).
+        ev.toward_source = link;
         frontier.emplace(alt.ns(), v.value());
       }
     }
@@ -113,7 +114,7 @@ void Network::install_routes_toward(NodeId target, const net::Ipv4Prefix& prefix
     if (id == target) continue;
     if (!scope.empty() && !scope.contains(id)) continue;
     if (!spt[i].reachable) continue;
-    tables_[i].insert(prefix, spt[i].next_toward_source);
+    tables_[i].insert(prefix, spt[i].toward_source);
   }
 }
 
@@ -177,21 +178,17 @@ void Network::forward(NodeId at, net::Packet packet, bool decrement_ttl) {
     }
     --ip.ttl;
   }
-  const NodeId* next = tables_[at.value()].lookup(packet.outer_ip().dst);
-  if (next == nullptr) {
+  Link* const* link = tables_[at.value()].lookup(packet.outer_ip().dst);
+  if (link == nullptr) {
     ++counters_.drops_no_route;
     if (tracer_ != nullptr) {
       tracer_->on_drop(sim_.now(), DropReason::kNoRoute, packet);
     }
     return;
   }
-  Link* link = link_between(at, *next);
-  if (link == nullptr) {
-    throw std::logic_error("Network::forward: route next hop not adjacent");
-  }
   ++counters_.forwarded;
   if (tracer_ != nullptr) tracer_->on_forward(sim_.now(), node(at), packet);
-  link->transmit(at, std::move(packet));
+  (*link)->transmit(at, std::move(packet));
 }
 
 void Network::drop(DropReason reason, const net::Packet& packet) {

@@ -162,10 +162,10 @@ class Network {
   /// Forwards `packet` out of `at` using the node's LPM table.
   void forward(NodeId at, net::Packet packet, bool decrement_ttl);
 
-  /// Dijkstra from `source`; returns (distance, parent-toward-source) pairs.
+  /// Dijkstra from `source`; returns (distance, link-toward-source) pairs.
   struct SptEntry {
     SimDuration distance;
-    NodeId next_toward_source;
+    Link* toward_source = nullptr;  ///< first link of the path to `source`
     bool reachable = false;
   };
   [[nodiscard]] std::vector<SptEntry> shortest_paths_from(NodeId source) const;
@@ -177,7 +177,9 @@ class Network {
   std::unordered_map<std::uint64_t, Link*> adjacency_;  // key: a<<32|b, a<b
   std::vector<std::vector<Link*>> incident_;            // per-node link list
   std::unordered_map<net::Ipv4Address, NodeId> address_index_;
-  std::vector<net::PrefixTrie<NodeId>> tables_;  // indexed by NodeId
+  /// Per-node FIB (indexed by NodeId): prefix -> the link to the next hop,
+  /// resolved once at install time so forwarding makes no adjacency lookup.
+  std::vector<net::PrefixTrie<Link*>> tables_;
   Tracer* tracer_ = nullptr;
   NetworkCounters counters_;
   std::uint64_t uid_counter_ = 0;

@@ -26,7 +26,7 @@ class Simulator {
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// Schedules `action` after `delay` (>= 0) from now.
-  EventHandle schedule(SimDuration delay, EventAction action) {
+  EventHandle schedule(SimDuration delay, EventAction&& action) {
     if (delay < SimDuration{}) {
       throw std::invalid_argument("Simulator::schedule: negative delay");
     }
@@ -34,7 +34,7 @@ class Simulator {
   }
 
   /// Schedules `action` at absolute time `at` (>= now()).
-  EventHandle schedule_at(SimTime at, EventAction action) {
+  EventHandle schedule_at(SimTime at, EventAction&& action) {
     if (at < now_) {
       throw std::invalid_argument("Simulator::schedule_at: time in the past");
     }
@@ -46,7 +46,7 @@ class Simulator {
   /// daemons remain, run() returns.  Periodic self-rescheduling work (IRC
   /// refresh, RLOC probe cycles, NERD push timers) must use this, or an
   /// unbounded run() would spin on the maintenance loop forever.
-  EventHandle schedule_daemon(SimDuration delay, EventAction action) {
+  EventHandle schedule_daemon(SimDuration delay, EventAction&& action) {
     if (delay < SimDuration{}) {
       throw std::invalid_argument("Simulator::schedule_daemon: negative delay");
     }
@@ -57,10 +57,7 @@ class Simulator {
   /// queued (the simulation can be resumed).  `max_events` guards against
   /// accidental infinite event chains (0 = unlimited).
   void run(std::uint64_t max_events = 0) {
-    EventQueue::Fired fired;
-    while (queue_.has_foreground() && queue_.pop(fired)) {
-      now_ = fired.time;
-      fired.action();
+    while (queue_.has_foreground() && queue_.fire_next(SimTime::max(), now_)) {
       ++processed_;
       if (max_events != 0 && processed_ >= max_events) {
         throw std::runtime_error("Simulator::run: event budget exhausted");
@@ -71,13 +68,7 @@ class Simulator {
   /// Runs events with time <= `until`, then sets now() = until.  Events
   /// scheduled later stay queued, so the simulation can be resumed.
   void run_until(SimTime until) {
-    while (!queue_.empty() && queue_.next_time() <= until) {
-      EventQueue::Fired fired;
-      queue_.pop(fired);
-      now_ = fired.time;
-      fired.action();
-      ++processed_;
-    }
+    while (queue_.fire_next(until, now_)) ++processed_;
     if (now_ < until) now_ = until;
   }
 

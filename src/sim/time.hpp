@@ -10,6 +10,7 @@
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 
 namespace lispcp::sim {
@@ -83,6 +84,10 @@ class SimTime {
   constexpr SimTime() noexcept = default;
 
   static constexpr SimTime zero() noexcept { return SimTime(); }
+  /// The last representable instant: a time bound nothing lies beyond.
+  static constexpr SimTime max() noexcept {
+    return SimTime(std::numeric_limits<std::int64_t>::max());
+  }
   static constexpr SimTime from_ns(std::int64_t n) noexcept { return SimTime(n); }
 
   [[nodiscard]] constexpr std::int64_t ns() const noexcept { return ns_; }

@@ -51,6 +51,24 @@ TEST(Pool, GenerationBumpInvalidatesStaleHandles) {
   EXPECT_NE(pool.generation(again), before);
 }
 
+TEST(Pool, RetiredSlotStaysAllocatedUntilRecycled) {
+  Pool<int> pool;
+  const std::uint32_t index = pool.allocate();
+  pool[index] = 7;
+  const std::uint32_t before = pool.generation(index);
+  pool.retire(index);
+  EXPECT_EQ(pool.generation(index), before + 1) << "old handles go stale";
+  EXPECT_EQ(pool.live(), 1u);
+  EXPECT_EQ(pool[index], 7) << "the value is still usable in place";
+  // A retired slot is not handed out again until it is recycled.
+  const std::uint32_t other = pool.allocate();
+  EXPECT_NE(other, index);
+  pool.recycle(index);
+  EXPECT_EQ(pool.live(), 1u);
+  EXPECT_EQ(pool.allocate(), index);
+  EXPECT_EQ(pool.generation(index), before + 1) << "recycle bumps nothing";
+}
+
 TEST(Pool, SlabsNeverMove) {
   Pool<int> pool;
   const std::uint32_t first = pool.allocate();

@@ -216,6 +216,37 @@ TEST(MapCacheRlocIndex, EraseAndReplaceMaintainTheIndex) {
   EXPECT_TRUE(cache.distinct_rlocs().empty());
 }
 
+TEST(MapCacheRlocIndex, RefreshWithTheSameLocatorsStillReplacesTheEntry) {
+  // A refresh keeping the locator addresses skips the reverse-index rebuild
+  // but must still assign the entry, refresh the expiry and the LRU, and
+  // count an update.
+  MapCache cache(/*capacity=*/2);
+  const net::Ipv4Address shared(10, 0, 0, 99);
+  cache.insert(shared_rloc_entry(1, shared), at_seconds(0));
+  cache.insert(shared_rloc_entry(2, shared), at_seconds(0));
+  ASSERT_EQ(cache.set_rloc_reachability_all(shared, false), 2u);
+
+  MapEntry refreshed = shared_rloc_entry(1, shared);  // reachable again
+  refreshed.rlocs[0].priority = 7;
+  refreshed.ttl_seconds = 1800;
+  cache.insert(refreshed, at_seconds(1000));
+  EXPECT_EQ(cache.stats().updates, 1u);
+  EXPECT_EQ(cache.stats().inserts, 2u);
+  EXPECT_EQ(cache.entries_referencing(shared), 2u);
+  EXPECT_EQ(cache.distinct_rlocs().size(), 3u);
+
+  // Entry 1 is now most recent, so a third site evicts entry 2.
+  cache.insert(entry_for(3), at_seconds(1000));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.entries_referencing(shared), 1u);
+
+  // Past entry 1's old 900 s TTL but inside the refreshed 1800 s one.
+  const auto hit = cache.lookup_copy(eid_in(1), at_seconds(2000));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->rlocs, refreshed.rlocs) << "the new locator state is stored";
+  EXPECT_EQ(cache.set_rloc_reachability_all(shared, false), 1u);
+}
+
 TEST(MapCacheRlocIndex, DistinctRlocsMatchesLiveEntries) {
   MapCache cache;
   const net::Ipv4Address shared(10, 0, 0, 99);

@@ -2,6 +2,10 @@
 // cancellation, run_until semantics.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <vector>
+
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -127,9 +131,10 @@ TEST(EventQueue, FiresInTimeOrder) {
   q.schedule(SimTime::from_ns(300), [&] { order.push_back(3); });
   q.schedule(SimTime::from_ns(100), [&] { order.push_back(1); });
   q.schedule(SimTime::from_ns(200), [&] { order.push_back(2); });
-  EventQueue::Fired fired;
-  while (q.pop(fired)) fired.action();
+  SimTime now;
+  while (q.fire_next(SimTime::max(), now)) {}
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(now, SimTime::from_ns(300));
 }
 
 TEST(EventQueue, TiesFireFifo) {
@@ -138,8 +143,8 @@ TEST(EventQueue, TiesFireFifo) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(SimTime::from_ns(50), [&order, i] { order.push_back(i); });
   }
-  EventQueue::Fired fired;
-  while (q.pop(fired)) fired.action();
+  SimTime now;
+  while (q.fire_next(SimTime::max(), now)) {}
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -151,8 +156,8 @@ TEST(EventQueue, CancelPreventsFiring) {
   EXPECT_TRUE(handle.cancel());
   EXPECT_FALSE(handle.pending());
   EXPECT_FALSE(handle.cancel());  // double cancel is a no-op
-  EventQueue::Fired fired;
-  EXPECT_FALSE(q.pop(fired));
+  SimTime now;
+  EXPECT_FALSE(q.fire_next(SimTime::max(), now));
   EXPECT_EQ(fired_count, 0);
 }
 
@@ -167,6 +172,88 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
 TEST(EventQueue, NextTimeOnEmptyThrows) {
   EventQueue q;
   EXPECT_THROW((void)q.next_time(), std::logic_error);
+}
+
+TEST(EventQueue, FireNextStopsAtTheTimeBound) {
+  EventQueue q;
+  int fired_count = 0;
+  q.schedule(SimTime::from_ns(10), [&] { ++fired_count; });
+  q.schedule(SimTime::from_ns(20), [&] { ++fired_count; });
+  SimTime now;
+  EXPECT_TRUE(q.fire_next(SimTime::from_ns(15), now));
+  EXPECT_EQ(now, SimTime::from_ns(10));
+  EXPECT_FALSE(q.fire_next(SimTime::from_ns(15), now)) << "next is at 20";
+  EXPECT_EQ(now, SimTime::from_ns(10)) << "a refused fire leaves now alone";
+  EXPECT_TRUE(q.fire_next(SimTime::from_ns(20), now)) << "the bound is inclusive";
+  EXPECT_EQ(fired_count, 2);
+}
+
+TEST(EventQueue, ActionCancellingItsOwnHandleGetsFalse) {
+  EventQueue q;
+  EventHandle self;
+  bool cancelled = true;
+  bool pending = true;
+  self = q.schedule(SimTime::from_ns(5), [&] {
+    pending = self.pending();
+    cancelled = self.cancel();
+  });
+  SimTime now;
+  EXPECT_TRUE(q.fire_next(SimTime::max(), now));
+  EXPECT_FALSE(pending) << "a firing event is no longer pending";
+  EXPECT_FALSE(cancelled) << "a firing event cannot be cancelled";
+  EXPECT_FALSE(q.has_foreground());
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ActionSchedulingPastASlabKeepsItsCaptures) {
+  // The action runs in its pool slot; scheduling more than a slab of events
+  // from inside it grows the pool, which must not move the running record.
+  EventQueue q;
+  const std::vector<int> payload{1, 2, 3, 4, 5};
+  std::vector<int> seen_before;
+  std::vector<int> seen_after;
+  q.schedule(SimTime::from_ns(1), [&q, &seen_before, &seen_after, payload] {
+    seen_before = payload;
+    for (int i = 0; i < 1000; ++i) {
+      q.schedule(SimTime::from_ns(2 + i), [] {});
+    }
+    seen_after = payload;
+  });
+  SimTime now;
+  int fired = 0;
+  while (q.fire_next(SimTime::max(), now)) ++fired;
+  EXPECT_EQ(fired, 1001);
+  EXPECT_EQ(seen_before, payload);
+  EXPECT_EQ(seen_after, payload);
+  EXPECT_EQ(now, SimTime::from_ns(1001));
+}
+
+TEST(EventQueue, ThrowingActionRecyclesItsSlotAndTheNextEventFires) {
+  EventQueue q;
+  auto token = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = token;
+  auto throwing = q.schedule(SimTime::from_ns(1), [token] {
+    throw std::runtime_error("boom");
+  });
+  token.reset();
+  bool second_fired = false;
+  q.schedule(SimTime::from_ns(2), [&] { second_fired = true; });
+  SimTime now;
+  EXPECT_THROW(q.fire_next(SimTime::max(), now), std::runtime_error);
+  EXPECT_TRUE(watch.expired()) << "the thrown action's captures are released";
+  EXPECT_FALSE(throwing.pending());
+  EXPECT_FALSE(throwing.cancel());
+  EXPECT_TRUE(q.has_foreground()) << "the second event is still queued";
+  EXPECT_TRUE(q.fire_next(SimTime::max(), now));
+  EXPECT_TRUE(second_fired);
+  EXPECT_FALSE(q.has_foreground());
+  // The recycled slot serves a new event whose handle works normally.
+  int later = 0;
+  auto reused = q.schedule(SimTime::from_ns(3), [&] { ++later; });
+  EXPECT_TRUE(reused.pending());
+  EXPECT_FALSE(throwing.pending()) << "the stale handle stays stale";
+  EXPECT_TRUE(q.fire_next(SimTime::max(), now));
+  EXPECT_EQ(later, 1);
 }
 
 TEST(Simulator, NowAdvancesWithEvents) {
