@@ -36,23 +36,35 @@ std::vector<policy::Community>& community_scratch() {
   thread_local std::vector<policy::Community> scratch;
   return scratch;
 }
+/// The MRAI flush's sorted snapshot of a pending table (flushes never
+/// nest: the snapshot is consumed before the message is sent).
+std::vector<net::Ipv4Prefix>& flush_scratch() {
+  thread_local std::vector<net::Ipv4Prefix> scratch;
+  return scratch;
+}
 
 }  // namespace
 
 BgpSpeaker::BgpSpeaker(BgpFabric& fabric, AsNumber asn)
-    : fabric_(fabric), asn_(asn) {
+    : fabric_(fabric), asn_(asn), neighbors_(fabric.graph().neighbors(asn)) {
   // A known converged table size lets every RIB jump straight to its final
   // capacity instead of rehashing through the origination storm.
   loc_rib_.reserve(fabric_.config().expected_prefixes);
-  const std::vector<AsGraph::Neighbor>& neighbors =
-      fabric_.graph().neighbors(asn_);
-  neighbor_pos_.reserve(neighbors.size());
-  for (std::uint32_t pos = 0; pos < neighbors.size(); ++pos) {
-    neighbor_pos_.insert_or_assign(neighbors[pos].asn, pos);
+  neighbor_pos_.reserve(neighbors_.size());
+  for (std::uint32_t pos = 0; pos < neighbors_.size(); ++pos) {
+    neighbor_pos_.insert_or_assign(neighbors_[pos].asn, pos);
   }
-  adj_in_.resize(neighbors.size());
-  outbound_.resize(neighbors.size());
+  adj_in_.resize(neighbors_.size());
+  outbound_.resize(neighbors_.size());
   rebuild_export_groups();
+}
+
+void BgpSpeaker::link_sessions() {
+  sessions_.resize(neighbors_.size());
+  for (std::uint32_t pos = 0; pos < neighbors_.size(); ++pos) {
+    BgpSpeaker& peer = fabric_.speaker(neighbors_[pos].asn);
+    sessions_[pos] = Session{&peer, peer.neighbor_position(asn_)};
+  }
 }
 
 std::uint32_t BgpSpeaker::neighbor_position(AsNumber neighbor) const {
@@ -66,12 +78,10 @@ std::uint32_t BgpSpeaker::neighbor_position(AsNumber neighbor) const {
 
 void BgpSpeaker::rebuild_export_groups() {
   export_groups_.clear();
-  const std::vector<AsGraph::Neighbor>& neighbors =
-      fabric_.graph().neighbors(asn_);
-  for (std::uint32_t pos = 0; pos < neighbors.size(); ++pos) {
+  for (std::uint32_t pos = 0; pos < neighbors_.size(); ++pos) {
     const policy::SessionPolicy* session =
-        fabric_.session_policy(asn_, neighbors[pos].asn);
-    const NeighborKind kind = neighbors[pos].kind;
+        fabric_.session_policy(asn_, neighbors_[pos].asn);
+    const NeighborKind kind = neighbors_[pos].kind;
     const policy::RouteMap* map =
         session == nullptr ? nullptr : session->export_map;
     const bool valley_free = session == nullptr ? true : session->valley_free;
@@ -96,7 +106,7 @@ BgpSpeaker::AdjIn& BgpSpeaker::adj_in(std::uint32_t pos) {
   if (!adj.sized) {
     adj.sized = true;
     if (fabric_.config().expected_prefixes > 0 &&
-        fabric_.graph().neighbors(asn_)[pos].kind != NeighborKind::kCustomer) {
+        neighbors_[pos].kind != NeighborKind::kCustomer) {
       // Peer/provider sessions carry (close to) the full table; customer
       // sessions only their cone — reserving those would waste the memory.
       adj.routes.reserve(fabric_.config().expected_prefixes);
@@ -110,7 +120,7 @@ BgpSpeaker::Outbound& BgpSpeaker::outbound(std::uint32_t pos) {
   if (!out.sized) {
     out.sized = true;
     if (fabric_.config().expected_prefixes > 0 &&
-        fabric_.graph().neighbors(asn_)[pos].kind == NeighborKind::kCustomer) {
+        neighbors_[pos].kind == NeighborKind::kCustomer) {
       // Customers get the full table, so the Adj-RIB-Out ledger fills up.
       out.advertised.reserve(fabric_.config().expected_prefixes);
     }
@@ -128,9 +138,11 @@ void BgpSpeaker::withdraw_origin(const net::Ipv4Prefix& prefix) {
   decide(prefix);
 }
 
-void BgpSpeaker::handle_update(AsNumber from, const UpdateMessage& message) {
+void BgpSpeaker::import_update(std::uint32_t pos,
+                               const UpdateMessage& message) {
   ++stats_.updates_received;
-  AdjIn& adj = adj_in(neighbor_position(from));
+  const AsNumber from = neighbors_[pos].asn;
+  AdjIn& adj = adj_in(pos);
   for (const net::Ipv4Prefix& prefix : message.withdraws) {
     if (adj.routes.erase(prefix) > 0) decide(prefix);
   }
@@ -207,9 +219,7 @@ void BgpSpeaker::decide(const net::Ipv4Prefix& prefix) {
     win_from = asn_;
     win_origin = true;
   }
-  const std::vector<AsGraph::Neighbor>& neighbors =
-      fabric_.graph().neighbors(asn_);
-  for (std::uint32_t pos = 0; pos < neighbors.size(); ++pos) {
+  for (std::uint32_t pos = 0; pos < neighbors_.size(); ++pos) {
     const AttrRef* route = adj_in_[pos].routes.find(prefix);
     if (route == nullptr) continue;
     // Local origin beats all; then highest local-pref (role defaults
@@ -218,7 +228,7 @@ void BgpSpeaker::decide(const net::Ipv4Prefix& prefix) {
     const std::uint32_t pref =
         route->local_pref() != 0
             ? route->local_pref()
-            : policy::role_local_pref(neighbors[pos].kind);
+            : policy::role_local_pref(neighbors_[pos].kind);
     bool take;
     if (win_attrs == nullptr) {
       take = true;
@@ -229,12 +239,12 @@ void BgpSpeaker::decide(const net::Ipv4Prefix& prefix) {
     } else if (route->as_path().size() != win_attrs->as_path().size()) {
       take = route->as_path().size() < win_attrs->as_path().size();
     } else {
-      take = neighbors[pos].asn < win_from;
+      take = neighbors_[pos].asn < win_from;
     }
     if (take) {
       win_attrs = route;
-      win_from = neighbors[pos].asn;
-      win_kind = neighbors[pos].kind;
+      win_from = neighbors_[pos].asn;
+      win_kind = neighbors_[pos].kind;
       win_pref = pref;
     }
   }
@@ -245,8 +255,8 @@ void BgpSpeaker::decide(const net::Ipv4Prefix& prefix) {
     if (!had) return;
     loc_rib_.erase(prefix);
     ++stats_.best_changes;
-    for (std::uint32_t pos = 0; pos < neighbors.size(); ++pos) {
-      enqueue(pos, neighbors[pos].asn, prefix, std::nullopt);
+    for (std::uint32_t pos = 0; pos < neighbors_.size(); ++pos) {
+      enqueue(pos, neighbors_[pos].asn, prefix, std::nullopt);
     }
     return;
   }
@@ -282,8 +292,6 @@ void BgpSpeaker::announce_best(const net::Ipv4Prefix& prefix,
   path.push_back(asn_);
   path.insert(path.end(), winner.as_path().begin(), winner.as_path().end());
 
-  const std::vector<AsGraph::Neighbor>& neighbors =
-      fabric_.graph().neighbors(asn_);
   for (const ExportGroup& group : export_groups_) {
     // One role-gate + export-map evaluation per group: every member shares
     // (kind, map, valley-free), so the decision is identical for all of
@@ -295,7 +303,7 @@ void BgpSpeaker::announce_best(const net::Ipv4Prefix& prefix,
     bool denied = false;
     AttrRef attrs;
     for (const std::uint32_t pos : group.members) {
-      const AsNumber neighbor = neighbors[pos].asn;
+      const AsNumber neighbor = neighbors_[pos].asn;
       if (only.has_value() && neighbor != *only) continue;
       // Split horizon: never echo a route to the session it came from.  A
       // neighbor the new best is not exportable to gets a withdraw instead
@@ -380,18 +388,18 @@ void BgpSpeaker::enqueue(std::uint32_t pos, AsNumber neighbor,
   }
   if (!out.pending.empty() && !out.mrai_armed) {
     out.mrai_armed = true;
-    fabric_.arm_mrai(asn_, neighbor,
-                     [this, pos, neighbor] { flush(pos, neighbor); });
+    fabric_.arm_mrai(asn_, neighbor, [this, pos] { flush(pos); });
   }
 }
 
-void BgpSpeaker::flush(std::uint32_t pos, AsNumber neighbor) {
+void BgpSpeaker::flush(std::uint32_t pos) {
   Outbound& out = outbound_[pos];
   out.mrai_armed = false;
   if (out.pending.empty()) return;
   // Sorted snapshot: the wire order (ascending prefix) is part of the
   // byte-identical-records contract and must not depend on table layout.
-  const std::vector<net::Ipv4Prefix> prefixes = out.pending.sorted_keys();
+  std::vector<net::Ipv4Prefix>& prefixes = flush_scratch();
+  out.pending.sorted_keys_into(prefixes);
   UpdateMessage message = message_recycler().acquire();
   message.announces.clear();
   message.withdraws.clear();
@@ -410,7 +418,8 @@ void BgpSpeaker::flush(std::uint32_t pos, AsNumber neighbor) {
   ++stats_.updates_sent;
   stats_.routes_announced += message.announces.size();
   stats_.routes_withdrawn += message.withdraws.size();
-  fabric_.send(asn_, neighbor, std::move(message));
+  const Session& session = sessions_[pos];
+  fabric_.send(asn_, *session.peer, session.peer_pos, std::move(message));
 }
 
 namespace {
@@ -438,6 +447,9 @@ BgpFabric::BgpFabric(const AsGraph& graph, BgpConfig config)
   for (std::uint32_t i = 0; i < ases.size(); ++i) {
     as_index_.insert_or_assign(ases[i], i);
     speakers_.push_back(std::make_unique<BgpSpeaker>(*this, ases[i]));
+  }
+  for (const std::unique_ptr<BgpSpeaker>& speaker : speakers_) {
+    speaker->link_sessions();
   }
 }
 
@@ -500,17 +512,20 @@ void BgpFabric::apply(const std::vector<RouteDelta>& batch) {
   }
 }
 
-void BgpFabric::send(AsNumber from, AsNumber to, UpdateMessage message) {
+void BgpFabric::send(AsNumber from, BgpSpeaker& to, std::uint32_t to_pos,
+                     UpdateMessage&& message) {
   // The message rides inside the event's inline capture — no shared_ptr,
   // no per-message heap allocation — and its shell (vector buffers) is
   // retired to the delivering worker's recycler after the update lands.
   // The adverts' attr refs are dropped first (clear keeps the capacity):
   // a pooled shell must not pin attribute sets — or a destroyed fabric's
   // table — from a past life.
-  engine_.schedule(to, session_delay(from, to),
-                   ConvergenceEngine::delivery_tag(from, to),
-                   [this, from, to, message = std::move(message)]() mutable {
-                     speaker(to).handle_update(from, message);
+  // Delivery imports by session position: no endpoint is resolved by ASN.
+  BgpSpeaker* receiver = &to;
+  engine_.schedule(to.asn(), session_delay(from, to.asn()),
+                   ConvergenceEngine::delivery_tag(from, to.asn()),
+                   [receiver, to_pos, message = std::move(message)]() mutable {
+                     receiver->import_update(to_pos, message);
                      message.announces.clear();
                      message.withdraws.clear();
                      message_recycler().release(std::move(message));
@@ -518,7 +533,7 @@ void BgpFabric::send(AsNumber from, AsNumber to, UpdateMessage message) {
 }
 
 void BgpFabric::arm_mrai(AsNumber owner, AsNumber neighbor,
-                         sim::EventAction flush) {
+                         sim::EventAction&& flush) {
   engine_.schedule(owner, config_.mrai,
                    ConvergenceEngine::timer_tag(owner, neighbor),
                    std::move(flush));

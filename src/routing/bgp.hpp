@@ -166,8 +166,12 @@ class BgpSpeaker {
 
   [[nodiscard]] AsNumber asn() const noexcept { return asn_; }
 
-  /// Delivery hook used by the fabric.
-  void handle_update(AsNumber from, const UpdateMessage& message);
+  /// Imports an update from neighbor `from` — a by-ASN wrapper over the
+  /// position-based import the fabric's deliveries call (tests, micros).
+  /// Throws std::out_of_range when no session exists.
+  void handle_update(AsNumber from, const UpdateMessage& message) {
+    import_update(neighbor_position(from), message);
+  }
 
   /// The best route currently installed for `prefix`, if any.
   struct BestRoute {
@@ -243,6 +247,14 @@ class BgpSpeaker {
   /// RouteDelta::Kind::kRefresh.
   void refresh_exports(std::optional<AsNumber> only = std::nullopt);
 
+  /// Resolves every session position to the peer's speaker and to this
+  /// speaker's position in the peer's session list.  Called once by the
+  /// fabric after every speaker exists (the session set is fixed).
+  void link_sessions();
+
+  /// The import leg for an update arriving on session position `pos`.
+  void import_update(std::uint32_t pos, const UpdateMessage& message);
+
   /// Recomputes the export update-groups from the current policy table.
   /// Called at construction and on the kRefresh path — the only points a
   /// session's export policy may change.
@@ -267,10 +279,24 @@ class BgpSpeaker {
   /// `pos` and arms its MRAI timer.
   void enqueue(std::uint32_t pos, AsNumber neighbor,
                const net::Ipv4Prefix& prefix, std::optional<RouteAdvert> advert);
-  void flush(std::uint32_t pos, AsNumber neighbor);
+  void flush(std::uint32_t pos);
 
   BgpFabric& fabric_;
   AsNumber asn_;
+
+  /// This speaker's sessions in graph order (a copy of the graph's list:
+  /// the session set is fixed at construction).  A position into it keys
+  /// every per-neighbor table below.
+  std::vector<AsGraph::Neighbor> neighbors_;
+
+  /// Per session position: the peer's speaker and this speaker's position
+  /// in the peer's list, so an UPDATE is sent and imported without
+  /// resolving either endpoint by ASN.
+  struct Session {
+    BgpSpeaker* peer = nullptr;
+    std::uint32_t peer_pos = 0;
+  };
+  std::vector<Session> sessions_;
 
   // The RIB tables are open-addressing flat maps (core/flat_map.hpp): the
   // decision process and update handling only ever do point lookups, and
@@ -423,12 +449,6 @@ class BgpFabric {
     return engine_.last_run_processed();
   }
 
-  /// Schedules delivery of `message` on the (from, to) session.
-  void send(AsNumber from, AsNumber to, UpdateMessage message);
-
-  /// Arms `owner`'s MRAI flush timer toward `neighbor` (speaker plumbing).
-  void arm_mrai(AsNumber owner, AsNumber neighbor, sim::EventAction flush);
-
   /// Runs the engine until no work remains on any shard, i.e. until the
   /// protocol has converged.  Returns the convergence instant.
   sim::SimTime run_to_convergence(std::uint64_t max_events = 50'000'000);
@@ -443,6 +463,17 @@ class BgpFabric {
   [[nodiscard]] std::uint64_t total_routes_withdrawn() const;
 
  private:
+  /// Speaker plumbing: send() and arm_mrai() schedule on the engine.
+  friend class BgpSpeaker;
+
+  /// Schedules delivery of `message` from `from` to `to`, which knows the
+  /// session as its position `to_pos`.
+  void send(AsNumber from, BgpSpeaker& to, std::uint32_t to_pos,
+            UpdateMessage&& message);
+
+  /// Arms `owner`'s MRAI flush timer toward `neighbor`.
+  void arm_mrai(AsNumber owner, AsNumber neighbor, sim::EventAction&& flush);
+
   [[nodiscard]] sim::SimDuration session_delay(AsNumber a, AsNumber b) const;
 
   const AsGraph& graph_;

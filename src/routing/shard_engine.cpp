@@ -105,7 +105,7 @@ bool ConvergenceEngine::idle() const noexcept {
 }
 
 void ConvergenceEngine::schedule(AsNumber asn, sim::SimDuration delay,
-                                 std::uint64_t tag, sim::EventAction action) {
+                                 std::uint64_t tag, sim::EventAction&& action) {
   if (delay < sim::SimDuration{}) {
     throw std::invalid_argument("ConvergenceEngine::schedule: negative delay");
   }

@@ -116,7 +116,7 @@ class ConvergenceEngine {
   /// scheduling requires delay >= the engine's epoch (the lookahead
   /// contract); violating it throws std::logic_error.
   void schedule(AsNumber asn, sim::SimDuration delay, std::uint64_t tag,
-                sim::EventAction action);
+                sim::EventAction&& action);
 
   /// Runs until every shard queue drains; returns the global convergence
   /// instant (unchanged if nothing was pending).  `max_events` guards

@@ -177,7 +177,7 @@ void FlowAggregateEngine::settle(std::size_t rank, bool resolved) {
     // The episode gave up (retries exhausted, no mapping): every backlogged
     // flow fails — in packet mode their SYN retries would re-trigger the
     // same doomed episode and eventually exhaust max_syn_retries.
-    for (const auto& batch : backlog) fail(rank, batch);
+    for (const auto& batch : backlog) fail(batch);
     return;
   }
 
@@ -372,7 +372,7 @@ void FlowAggregateEngine::complete(std::size_t rank, const Batch& batch,
   }
 }
 
-void FlowAggregateEngine::fail(std::size_t rank, const Batch& batch) {
+void FlowAggregateEngine::fail(const Batch& batch) {
   if (batch.flows == 0) return;
   const std::uint64_t cold = std::min(batch.cold_dns, batch.flows);
   const std::uint64_t waiters =

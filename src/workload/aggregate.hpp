@@ -175,7 +175,7 @@ class FlowAggregateEngine final : public Traffic {
                 bool retransmitted, std::uint64_t overlay_syns = 0);
   /// Books one batch of failed sessions (resolution gave up; every SYN
   /// retry dropped at the ITR).
-  void fail(std::size_t rank, const Batch& batch);
+  void fail(const Batch& batch);
 
   /// Splits the front `take` flows off `batch` into a new Batch, taking the
   /// DNS cohort (trigger, then waiters) first — they are the earliest

@@ -5,8 +5,10 @@
 //  * core::Recycler — bounded retirement, buffer-capacity reuse;
 //  * core::InlineFunction — inline vs heap captures, move-only transfer,
 //    destruction of captured state (leak-checked under the ASan CI leg);
-//  * core::FlatMap / FlatSet — probe/erase/tombstone/rehash behaviour and
-//    the sorted_keys() determinism contract the record pipeline relies on.
+//  * core::FlatMap / FlatSet — probe/erase/tombstone/rehash behaviour, the
+//    sizing rules (reserve at <=50% load, clear() keeping a right-sized
+//    allocation and freeing an oversized one) and the sorted_keys()
+//    determinism contract the record pipeline relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -275,6 +277,107 @@ TEST(FlatMap, ForEachVisitsEveryLiveEntry) {
   });
   EXPECT_EQ(count, 63u);
   EXPECT_EQ(sum, 64LL * 63 / 2 - 10);
+}
+
+TEST(FlatMap, ReserveSizesForAtMostHalfLoadAndNeverShrinks) {
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 1014u, 1024u, 4014u}) {
+    FlatMap<int, int> map;
+    map.reserve(n);
+    const std::size_t capacity = map.capacity();
+    EXPECT_GE(capacity, 2 * n) << n;
+    EXPECT_EQ(capacity & (capacity - 1), 0u) << "power of two";
+    // Filling to the reserved size performs no rehash.
+    for (std::size_t i = 0; i < n; ++i) map[static_cast<int>(i)] = 1;
+    EXPECT_EQ(map.capacity(), capacity) << n;
+    EXPECT_LE(map.size() * 2, map.capacity()) << n;
+  }
+  FlatMap<int, int> map;
+  map.reserve(1000);
+  const std::size_t big = map.capacity();
+  map.reserve(10);
+  EXPECT_EQ(map.capacity(), big) << "reserve never shrinks";
+  // The BGP RIB case: 1014 prefixes fit 2048 slots, not 4096.
+  FlatMap<int, int> rib;
+  rib.reserve(1014);
+  EXPECT_EQ(rib.capacity(), 2048u);
+}
+
+TEST(FlatMap, ReservedTableChurnRehashesInPlace) {
+  // Erase/insert churn of distinct keys piles up tombstones in a reserved
+  // table; the clean-up rehash must keep its capacity, not grow it.
+  FlatMap<int, int> map;
+  map.reserve(1000);
+  const std::size_t capacity = map.capacity();
+  for (int i = 0; i < 1000; ++i) map[i] = i;
+  for (int round = 1; round <= 20; ++round) {
+    for (int i = 0; i < 1000; i += 2) map.erase(i + (round - 1) * 1000);
+    for (int i = 0; i < 1000; i += 2) map[i + round * 1000] = i;
+  }
+  EXPECT_EQ(map.size(), 1000u);
+  EXPECT_EQ(map.capacity(), capacity);
+}
+
+TEST(FlatMap, ClearKeepsARightSizedTableAndReleasesEveryValue) {
+  FlatMap<int, std::shared_ptr<int>> map;
+  auto value = std::make_shared<int>(5);
+  for (int i = 0; i < 10; ++i) map[i] = value;
+  map.erase(3);  // a tombstone, too
+  EXPECT_EQ(value.use_count(), 10);
+  const std::size_t capacity = map.capacity();
+  map.clear();
+  EXPECT_EQ(value.use_count(), 1) << "clear() releases every value";
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.capacity(), capacity) << "a right-sized table is kept";
+  // Refilling the same amount needs no rehash and finds fresh state.
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(map.find(i), nullptr);
+  for (int i = 100; i < 110; ++i) map[i] = value;
+  EXPECT_EQ(map.capacity(), capacity);
+  EXPECT_EQ(map.size(), 10u);
+  for (int i = 100; i < 110; ++i) ASSERT_NE(map.find(i), nullptr);
+  EXPECT_EQ(value.use_count(), 11);
+}
+
+TEST(FlatMap, ClearFreesAnOversizedTable) {
+  // A storm-sized table that now holds little shrinks on clear(): the next
+  // use starts from the minimum capacity instead of scanning the old one.
+  FlatMap<int, int> map;
+  for (int i = 0; i < 4000; ++i) map[i] = i;
+  for (int i = 2; i < 4000; ++i) map.erase(i);
+  ASSERT_GE(map.capacity(), 8192u);
+  map.clear();
+  EXPECT_EQ(map.capacity(), 0u);
+  EXPECT_TRUE(map.empty());
+  map[7] = 70;
+  EXPECT_EQ(map.capacity(), 16u);
+  EXPECT_EQ(*map.find(7), 70);
+  // A reserved table cleared while empty is oversized for what it held.
+  FlatSet<int> set;
+  set.reserve(1000);
+  set.clear();
+  EXPECT_FALSE(set.contains(1));
+  EXPECT_TRUE(set.insert(1));
+}
+
+TEST(FlatMap, SortedKeysIntoMatchesSortedKeysAfterChurn) {
+  FlatMap<int, int> map;
+  std::mt19937 rng(99);
+  std::uniform_int_distribution<int> key(0, 5000);
+  for (int i = 0; i < 20000; ++i) {
+    const int k = key(rng);
+    if (i % 3 == 0) {
+      map.erase(k);
+    } else {
+      map[k] = i;
+    }
+  }
+  std::vector<int> into{-1, -2, -3};  // stale contents are replaced
+  map.sorted_keys_into(into);
+  EXPECT_EQ(into, map.sorted_keys());
+  EXPECT_EQ(into.size(), map.size());
+  EXPECT_TRUE(std::is_sorted(into.begin(), into.end()));
+  map.clear();
+  map.sorted_keys_into(into);
+  EXPECT_TRUE(into.empty());
 }
 
 }  // namespace

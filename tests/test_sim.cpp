@@ -1,13 +1,17 @@
 // Simulator core: time arithmetic, RNG distributions, event queue ordering,
-// cancellation, run_until semantics.
+// cancellation, run_until semantics, and the sharded engine's identity-keyed
+// ShardQueue (pooled closures, in-slot firing, (cause, tag) tie order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "sim/shard_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -422,6 +426,118 @@ TEST(Daemon, FiredEventCancelIsNoOp) {
   sim.run();
   EXPECT_FALSE(handle.cancel()) << "firing consumed the event";
   EXPECT_FALSE(sim.queue().has_foreground());
+}
+
+TEST(ShardQueue, ActionSchedulingFourSlabsKeepsItsCaptures) {
+  // The action runs in its pool slot; scheduling 1000 events from inside it
+  // grows the closure pool by four slabs, which must not move the running
+  // closure or its captures.
+  ShardQueue q;
+  const std::vector<int> payload{1, 2, 3, 4, 5};
+  std::vector<int> seen_before;
+  std::vector<int> seen_after;
+  q.schedule(SimTime::from_ns(1), EventKey{0, 0},
+             [&q, &seen_before, &seen_after, payload] {
+               seen_before = payload;
+               for (int i = 0; i < 1000; ++i) {
+                 q.schedule(SimTime::from_ns(2 + i),
+                            EventKey{1, static_cast<std::uint64_t>(i)}, [] {});
+               }
+               seen_after = payload;
+             });
+  EXPECT_EQ(q.run_window(SimTime::max()), 1001u);
+  EXPECT_EQ(seen_before, payload);
+  EXPECT_EQ(seen_after, payload);
+  EXPECT_EQ(q.now(), SimTime::from_ns(1001));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(ShardQueue, ThrowingActionReleasesItsSlotAndTheNextEventFires) {
+  ShardQueue q;
+  auto token = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = token;
+  q.schedule(SimTime::from_ns(1), EventKey{0, 1},
+             [token] { throw std::runtime_error("boom"); });
+  token.reset();
+  int fired = 0;
+  q.schedule(SimTime::from_ns(2), EventKey{0, 2}, [&fired] { ++fired; });
+  EXPECT_THROW(q.run_window(SimTime::max()), std::runtime_error);
+  EXPECT_TRUE(watch.expired()) << "the thrown action's captures are released";
+  EXPECT_EQ(q.size(), 1u) << "the second event is still queued";
+  EXPECT_EQ(q.now(), SimTime::from_ns(1));
+  EXPECT_EQ(q.run_window(SimTime::max()), 1u);
+  EXPECT_EQ(fired, 1);
+  // The released slot is reused: later events schedule and fire normally.
+  for (int round = 0; round < 300; ++round) {
+    q.schedule(SimTime::from_ns(3 + round), EventKey{2, 0},
+               [&fired] { ++fired; });
+    EXPECT_EQ(q.run_window(SimTime::max()), 1u);
+  }
+  EXPECT_EQ(fired, 301);
+}
+
+TEST(ShardQueue, SameInstantEventsFireInCauseTagOrder) {
+  // Twelve events at one instant, keyed by (cause, tag); any insertion
+  // order must fire them in key order — the property that makes sharded
+  // runs independent of execution order.
+  std::vector<EventKey> keys;
+  for (std::int64_t cause : {0, 5, 9}) {
+    for (std::uint64_t tag : {std::uint64_t{3}, std::uint64_t{1} << 63,
+                              std::uint64_t{0}, std::uint64_t{17}}) {
+      keys.push_back(EventKey{cause, tag});
+    }
+  }
+  std::vector<EventKey> expected = keys;
+  std::sort(expected.begin(), expected.end());
+  std::mt19937 rng(42);
+  for (int trial = 0; trial < 5; ++trial) {
+    std::shuffle(keys.begin(), keys.end(), rng);
+    ShardQueue q;
+    std::vector<EventKey> fired;
+    for (const EventKey key : keys) {
+      q.schedule(SimTime::from_ns(100), key, [&fired, key] {
+        fired.push_back(key);
+      });
+    }
+    // An earlier event inserted last still fires first.
+    bool early = false;
+    q.schedule(SimTime::from_ns(50), EventKey{99, 99}, [&] {
+      EXPECT_TRUE(fired.empty());
+      early = true;
+    });
+    EXPECT_EQ(q.run_window(SimTime::max()), keys.size() + 1);
+    EXPECT_TRUE(early);
+    EXPECT_EQ(fired, expected) << "trial " << trial;
+  }
+}
+
+TEST(ShardQueue, RunWindowStopsAtTheWindowEndAndTheEventCap) {
+  ShardQueue q;
+  int fired = 0;
+  for (int i = 0; i < 5; ++i) {
+    q.schedule(SimTime::from_ns(10 * (i + 1)),
+               EventKey{0, static_cast<std::uint64_t>(i)}, [&fired] { ++fired; });
+  }
+  EXPECT_EQ(q.run_window(SimTime::from_ns(30)), 2u) << "end is exclusive";
+  EXPECT_EQ(q.next_time(), SimTime::from_ns(30));
+  EXPECT_EQ(q.run_window(SimTime::max(), 2), 2u);
+  EXPECT_EQ(q.now(), SimTime::from_ns(40));
+  EXPECT_EQ(q.run_window(SimTime::max()), 1u);
+  EXPECT_EQ(fired, 5);
+  EXPECT_THROW(q.schedule(SimTime::from_ns(1), EventKey{}, [] {}),
+               std::invalid_argument);
+}
+
+TEST(ShardQueue, DestroyingAQueueReleasesPendingCaptures) {
+  auto token = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = token;
+  {
+    ShardQueue q;
+    q.schedule(SimTime::from_ns(5), EventKey{}, [token] {});
+    token.reset();
+    EXPECT_FALSE(watch.expired());
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 }  // namespace
